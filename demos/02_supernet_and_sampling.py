@@ -7,7 +7,6 @@ from dfnas.supernet import (
     SpaceConfig,
     build_supernet,
     derive_child,
-    edge_probabilities,
     forward_path,
     prune_edges,
     sample_path,
@@ -29,7 +28,7 @@ print(f"search space: {net.cardinality()} architectures "
 print("\n== probabilities follow softmax(alpha) ==")
 net.edges[0].alpha[:] = [1.0, 0.0, -1.0, 0.5]
 print("alpha:", net.edges[0].alpha.tolist())
-print("probs:", edge_probabilities(net.edges[0]).round(4).tolist())
+print("probs:", net.edges[0].probabilities().round(4).tolist())
 
 print("\n== sampled paths, 2000 draws on block 0 ==")
 rng = np.random.default_rng(1)

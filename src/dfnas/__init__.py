@@ -14,9 +14,6 @@ from .data import (
     dirichlet_split,
     generate_synthetic,
     iid_split,
-    load_csv,
-    load_dataset,
-    save_dataset,
 )
 from .federation import (
     FederationConfig,
@@ -38,7 +35,6 @@ from .supernet import (
     alpha_gradient,
     build_supernet,
     derive_child,
-    edge_probabilities,
     flatten_params,
     forward_path,
     prune_edges,
@@ -55,8 +51,7 @@ __all__ = [
     "ParameterBlob", "Partition", "PathSample", "RoundRecord", "SGD", "SpaceConfig",
     "Supernet", "Tape", "Tensor", "aggregate", "alpha_gradient", "build_supernet",
     "client_local_search", "derive_child", "derive_seed", "dirichlet_split",
-    "edge_probabilities", "evaluate", "flatten_params", "forward_path",
-    "generate_synthetic", "iid_split", "load_csv", "load_dataset", "parse_config",
-    "prune_edges", "run_federated_search", "sample_path", "save_dataset",
+    "evaluate", "flatten_params", "forward_path", "generate_synthetic", "iid_split",
+    "parse_config", "prune_edges", "run_federated_search", "sample_path",
     "select_clients", "serialize_config", "stream", "unflatten_params",
 ]

@@ -50,6 +50,9 @@ class ParameterBlob:
     def names(self) -> list[str]:
         return [r.name for r in self.records]
 
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        return [(r.name, r.shape) for r in self.records]
+
     def to_bytes(self) -> bytes:
         parts = [MAGIC, struct.pack("<II", self.format_version, len(self.records))]
         for rec in self.records:
@@ -112,27 +115,31 @@ class ParameterBlob:
         offset += 8 * size
         return offset, BlobRecord(name=name, shape=tuple(int(d) for d in shape), values=values)
 
-    def same_bits(self, other: "ParameterBlob") -> bool:
-        return self.to_bytes() == other.to_bytes()
+
+def check_layout(
+    version: int, layout: list[tuple[str, tuple[int, ...]]], blob: ParameterBlob
+) -> None:
+    """Raise unless `blob` has this version and (name, shape) layout, naming
+    the first record that differs."""
+    if blob.format_version != version:
+        raise SerializationError(f"blob version {blob.format_version}, expected {version}")
+    got = blob.layout()
+    for i in range(max(len(layout), len(got))):
+        if i >= len(got):
+            raise SerializationError(f"layout mismatch: missing record {layout[i][0]!r}")
+        if i >= len(layout):
+            raise SerializationError(f"layout mismatch: unexpected record {got[i][0]!r}")
+        (name, shape), (got_name, got_shape) = layout[i], got[i]
+        if got_name != name:
+            raise SerializationError(
+                f"layout mismatch at record {i}: got {got_name!r}, expected {name!r}"
+            )
+        if got_shape != shape:
+            raise SerializationError(
+                f"shape mismatch for record {name!r}: got {got_shape}, expected {shape}"
+            )
 
 
 def check_layouts_match(a: ParameterBlob, b: ParameterBlob) -> None:
     """Raise naming the first divergent record when layouts differ."""
-    if a.format_version != b.format_version:
-        raise SerializationError(
-            f"blob version mismatch: {a.format_version} vs {b.format_version}"
-        )
-    for i in range(max(len(a.records), len(b.records))):
-        if i >= len(a.records):
-            raise SerializationError(f"layout mismatch: extra record {b.records[i].name!r}")
-        if i >= len(b.records):
-            raise SerializationError(f"layout mismatch: missing record {a.records[i].name!r}")
-        ra, rb = a.records[i], b.records[i]
-        if ra.name != rb.name:
-            raise SerializationError(
-                f"layout mismatch at record {i}: {ra.name!r} vs {rb.name!r}"
-            )
-        if ra.shape != rb.shape:
-            raise SerializationError(
-                f"shape mismatch for record {ra.name!r}: {ra.shape} vs {rb.shape}"
-            )
+    check_layout(a.format_version, a.layout(), b)

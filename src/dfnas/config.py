@@ -1,8 +1,12 @@
 """Experiment configuration: flat key=value files with dotted section prefixes.
 
+The fields of `ExperimentConfig` are the single source: each field is one key
+(a section prefix becomes `section.key`), parsed by the type of the field.
 Every key has a documented default; parsing validates the whole file and
 reports every violation, not just the first. `serialize_config` writes a file
-that parses back to an equal config.
+that parses back to an equal config. `data_spec`, `space_config`,
+`federation_config` and `local_config` translate a config into the inputs of
+each layer.
 """
 
 from __future__ import annotations
@@ -11,7 +15,12 @@ import difflib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .data import DataSpec
 from .errors import ConfigurationError
+from .federation import FederationConfig
+from .local_search import LocalSearchConfig
+from .seeds import derive_seed
+from .supernet import SpaceConfig
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,6 @@ class ExperimentConfig:
     local_lr_w: float = 0.05
     local_lr_alpha: float = 0.003
     local_momentum_w: float = 0.9
-    local_alpha_threshold: float = float("-inf")
     local_clip_norm: float | None = None
 
     def resolved_output_dir(self) -> str:
@@ -99,52 +107,96 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# key in the file -> (attribute, parser)
-KEY_TABLE: dict[str, tuple[str, object]] = {
-    "scenario": ("scenario", str),
-    "master_seed": ("master_seed", int),
-    "mode": ("mode", str),
-    "output_dir": ("output_dir", str),
-    "data.kind": ("data_kind", str),
-    "data.train_samples": ("data_train_samples", int),
-    "data.test_samples": ("data_test_samples", int),
-    "data.classes": ("data_classes", int),
-    "data.noise": ("data_noise", float),
-    "data.feature_dim": ("data_feature_dim", int),
-    "data.image_channels": ("data_image_channels", int),
-    "data.image_size": ("data_image_size", int),
-    "partition.kind": ("partition_kind", str),
-    "partition.concentration": ("partition_concentration", float),
-    "partition.resplit_each_round": ("partition_resplit_each_round", _parse_bool),
-    "space.blocks": ("space_blocks", int),
-    "space.candidates": ("space_candidates", _parse_tokens),
-    "space.channels": ("space_channels", int),
-    "space.hidden_width": ("space_hidden_width", int),
-    "space.fixed_path": ("space_fixed_path", _parse_path),
-    "federation.rounds": ("federation_rounds", int),
-    "federation.client_pool": ("federation_client_pool", int),
-    "federation.clients_per_round": ("federation_clients_per_round", int),
-    "federation.weighting": ("federation_weighting", str),
-    "federation.server_alpha_threshold": ("federation_server_alpha_threshold", float),
-    "federation.workers": ("federation_workers", int),
-    "federation.checkpoints": ("federation_checkpoints", _parse_bool),
-    "local.epochs": ("local_epochs", int),
-    "local.batch_size": ("local_batch_size", int),
-    "local.lr_w": ("local_lr_w", float),
-    "local.lr_alpha": ("local_lr_alpha", float),
-    "local.momentum_w": ("local_momentum_w", float),
-    "local.alpha_threshold": ("local_alpha_threshold", float),
-    "local.clip_norm": ("local_clip_norm", _parse_optional_float),
+_SECTIONS = ("data", "partition", "space", "federation", "local")
+
+# annotation of an ExperimentConfig field -> parser of its value in the file
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": _parse_bool,
+    "tuple[str, ...]": _parse_tokens,
+    "tuple[int, ...] | None": _parse_path,
+    "float | None": _parse_optional_float,
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in KEY_TABLE.items()}
+
+def _file_key(attr: str) -> str:
+    """`federation_rounds` is written `federation.rounds`; other names as is."""
+    section, _, name = attr.partition("_")
+    return f"{section}.{name}" if section in _SECTIONS else attr
+
+
+# key in the file -> (attribute, parser), one entry per ExperimentConfig field
+KEY_TABLE: dict[str, tuple[str, object]] = {
+    _file_key(f.name): (f.name, _PARSERS[f.type]) for f in fields(ExperimentConfig)
+}
+
+
+def data_spec(config: ExperimentConfig, n_samples: int) -> DataSpec:
+    return DataSpec(
+        kind=config.data_kind,
+        n_samples=n_samples,
+        num_classes=config.data_classes,
+        noise=config.data_noise,
+        feature_dim=config.data_feature_dim,
+        image_channels=config.data_image_channels,
+        image_size=config.data_image_size,
+    )
+
+
+def space_config(config: ExperimentConfig, fixed_path: tuple[int, ...] | None = None) -> SpaceConfig:
+    if config.data_kind == "patches":
+        input_shape: tuple[int, ...] = (
+            config.data_image_channels, config.data_image_size, config.data_image_size,
+        )
+    else:
+        input_shape = (config.data_feature_dim,)
+    if fixed_path is None and config.mode == "baseline":
+        fixed_path = config.space_fixed_path
+    return SpaceConfig(
+        blocks=config.space_blocks,
+        candidates=config.space_candidates,
+        input_shape=input_shape,
+        num_classes=config.data_classes,
+        channels=config.space_channels,
+        hidden_width=config.space_hidden_width,
+        init_seed=derive_seed(config.master_seed, "init"),
+        fixed_path=fixed_path,
+    )
+
+
+def federation_config(config: ExperimentConfig) -> FederationConfig:
+    return FederationConfig(
+        rounds=config.federation_rounds,
+        client_pool=config.federation_client_pool,
+        clients_per_round=config.federation_clients_per_round,
+        weighting=config.federation_weighting,
+        mode=config.mode,
+        server_alpha_threshold=config.federation_server_alpha_threshold,
+        workers=config.federation_workers,
+        master_seed=config.master_seed,
+    )
+
+
+def local_config(config: ExperimentConfig) -> LocalSearchConfig:
+    return LocalSearchConfig(
+        epochs=config.local_epochs,
+        batch_size=config.local_batch_size,
+        lr_w=config.local_lr_w,
+        lr_alpha=config.local_lr_alpha,
+        momentum_w=config.local_momentum_w,
+        clip_norm=config.local_clip_norm,
+    )
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
-    """Every violation in one pass; empty list means valid."""
+    """Every violation in one pass, each under its file key; empty means valid.
+
+    The federation and local sections state their own rules; the rules here
+    are the ones no section owns.
+    """
     problems: list[str] = []
-    if config.mode not in ("dfnas", "baseline"):
-        problems.append(f"mode must be dfnas or baseline, got {config.mode!r}")
     if config.data_kind not in ("blobs", "rings", "patches"):
         problems.append(f"data.kind must be blobs, rings or patches, got {config.data_kind!r}")
     if config.data_train_samples < 1 or config.data_test_samples < 1:
@@ -165,32 +217,13 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         problems.append(f"space.blocks must be >= 1, got {config.space_blocks}")
     if not config.space_candidates:
         problems.append("space.candidates must list at least one candidate")
-    if config.federation_rounds < 1:
-        problems.append(f"federation.rounds must be >= 1, got {config.federation_rounds}")
-    if config.federation_client_pool < 1:
-        problems.append("federation.client_pool must be >= 1")
-    if not 1 <= config.federation_clients_per_round <= config.federation_client_pool:
-        problems.append(
-            f"federation.clients_per_round must be in [1, {config.federation_client_pool}], "
-            f"got {config.federation_clients_per_round}"
-        )
-    if config.federation_weighting not in ("uniform", "proportional"):
-        problems.append(
-            f"federation.weighting must be uniform or proportional, "
-            f"got {config.federation_weighting!r}"
-        )
-    if config.federation_workers < 1:
-        problems.append("federation.workers must be >= 1")
-    if config.local_epochs < 1:
-        problems.append(f"local.epochs must be >= 1, got {config.local_epochs}")
-    if config.local_batch_size < 1:
-        problems.append("local.batch_size must be >= 1")
-    if config.local_lr_w < 0 or config.local_lr_alpha < 0:
-        problems.append("local learning rates must be >= 0")
-    if not 0 <= config.local_momentum_w < 1:
-        problems.append(f"local.momentum_w must be in [0, 1), got {config.local_momentum_w}")
-    if config.local_clip_norm is not None and config.local_clip_norm <= 0:
-        problems.append(f"local.clip_norm must be > 0, got {config.local_clip_norm}")
+    for section, section_problems in (
+        ("federation", federation_config(config).problems()),
+        ("local", local_config(config).problems()),
+    ):
+        for name, complaint in section_problems:
+            key = f"{section}.{name}"
+            problems.append(f"{key if key in KEY_TABLE else name} {complaint}")
     if config.mode == "baseline":
         if config.space_fixed_path is None:
             problems.append("baseline mode requires space.fixed_path")
@@ -254,9 +287,8 @@ def parse_config(path) -> ExperimentConfig:
 
 def serialize_config(config: ExperimentConfig) -> str:
     lines = []
-    for f in fields(ExperimentConfig):
-        key = _ATTR_TO_KEY[f.name]
-        lines.append(f"{key} = {_fmt(getattr(config, f.name))}")
+    for key, (attr, _) in KEY_TABLE.items():
+        lines.append(f"{key} = {_fmt(getattr(config, attr))}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,4 @@
-"""Datasets: synthetic generators, IID and Dirichlet partitioning, disk format.
+"""Datasets: synthetic generators, IID and Dirichlet partitioning.
 
 Synthetic geometries stand in for image benchmarks at desk scale:
 
@@ -11,15 +11,11 @@ Synthetic geometries stand in for image benchmarks at desk scale:
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, FormatError
-
-DATASET_MAGIC = b"DFND"
-DATASET_VERSION = 1
+from .errors import ConfigurationError, DataError
 
 
 @dataclass
@@ -51,10 +47,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
-
-    @property
-    def sample_shape(self) -> tuple[int, ...]:
-        return self.features.shape[1:]
 
     def subset(self, indices: np.ndarray, access_log: list | None = None) -> "Dataset":
         """Materialize a shard; optionally record which parent rows were read."""
@@ -257,80 +249,4 @@ def dirichlet_split(
     raise DataError(
         f"dirichlet partition left a client empty after {max_retries} draws "
         f"(K={num_clients}, concentration={concentration})"
-    )
-
-
-# ---------------------------------------------------------------------------
-# disk format
-
-
-def save_dataset(dataset: Dataset, path) -> None:
-    """Little-endian binary: magic, version, classes, rank, dims, f64 features,
-    u32 labels."""
-    shape = dataset.features.shape
-    with open(path, "wb") as fh:
-        fh.write(DATASET_MAGIC)
-        fh.write(struct.pack("<II", DATASET_VERSION, dataset.num_classes))
-        fh.write(struct.pack("<B", len(shape)))
-        fh.write(struct.pack(f"<{len(shape)}I", *shape))
-        fh.write(np.ascontiguousarray(dataset.features, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.labels, dtype="<u4").tobytes())
-
-
-def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    view = memoryview(raw)
-    if len(view) < 13:
-        raise FormatError(f"dataset file truncated at byte {len(view)}: header incomplete")
-    if bytes(view[:4]) != DATASET_MAGIC:
-        raise FormatError(f"bad dataset magic {bytes(view[:4])!r}")
-    version, num_classes = struct.unpack("<II", view[4:12])
-    if version != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version}")
-    rank = view[12]
-    offset = 13
-    if offset + 4 * rank > len(view):
-        raise FormatError(f"dataset file truncated at byte {offset}")
-    shape = struct.unpack_from(f"<{rank}I", view, offset)
-    offset += 4 * rank
-    numel = 1
-    for d in shape:
-        numel *= d
-    n = shape[0] if rank else 0
-    need = 8 * numel + 4 * n
-    if offset + need != len(view):
-        raise FormatError(
-            f"dataset file has {len(view) - offset} payload bytes at offset {offset}, "
-            f"expected {need}"
-        )
-    features = np.frombuffer(view, dtype="<f8", count=numel, offset=offset).reshape(shape)
-    offset += 8 * numel
-    labels = np.frombuffer(view, dtype="<u4", count=n, offset=offset).astype(np.int64)
-    return Dataset(features=features.copy(), labels=labels, num_classes=int(num_classes))
-
-
-def load_csv(path, num_classes: int | None = None) -> Dataset:
-    """Import `label,f0,f1,...` rows (small hand-made fixtures)."""
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as err:
-                raise FormatError(f"bad CSV value on line {line_no}: {err}") from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise FormatError(f"inconsistent column count on line {line_no}")
-    if not rows:
-        raise FormatError("CSV contains no samples")
-    label_arr = np.asarray(labels, dtype=np.int64)
-    classes = num_classes if num_classes is not None else int(label_arr.max()) + 1
-    return Dataset(
-        features=np.asarray(rows, dtype=np.float64), labels=label_arr, num_classes=classes
     )

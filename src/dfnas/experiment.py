@@ -21,27 +21,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, serialize_config
-from .data import DataSpec, Dataset, Partition, dirichlet_split, generate_synthetic, iid_split
+from .config import (
+    ExperimentConfig,
+    data_spec,
+    federation_config,
+    local_config,
+    serialize_config,
+    space_config,
+)
+from .data import Dataset, Partition, dirichlet_split, generate_synthetic, iid_split
 from .errors import ConfigurationError, FormatError
-from .federation import FederationConfig, FederationResult, evaluate, run_federated_search
+from .federation import FederationResult, evaluate, run_federated_search
 from .local_search import LocalSearchConfig, client_local_search
 from .seeds import derive_seed, stream
-from .supernet import SpaceConfig, build_supernet, flatten_params, unflatten_params
+from .supernet import build_supernet, flatten_params, unflatten_params
 
 METRICS_HEADER = "round,clients,test_acc,test_loss,bytes_up,bytes_down,wall_ms"
-
-
-def data_spec(config: ExperimentConfig, n_samples: int) -> DataSpec:
-    return DataSpec(
-        kind=config.data_kind,
-        n_samples=n_samples,
-        num_classes=config.data_classes,
-        noise=config.data_noise,
-        feature_dim=config.data_feature_dim,
-        image_channels=config.data_image_channels,
-        image_size=config.data_image_size,
-    )
 
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -63,52 +58,6 @@ def build_partition(config: ExperimentConfig, train: Dataset, round_index: int =
         return iid_split(train, config.federation_client_pool, rng)
     return dirichlet_split(
         train, config.federation_client_pool, config.partition_concentration, rng
-    )
-
-
-def space_config(config: ExperimentConfig, fixed_path: tuple[int, ...] | None = None) -> SpaceConfig:
-    if config.data_kind == "patches":
-        input_shape: tuple[int, ...] = (
-            config.data_image_channels, config.data_image_size, config.data_image_size,
-        )
-    else:
-        input_shape = (config.data_feature_dim,)
-    if fixed_path is None and config.mode == "baseline":
-        fixed_path = config.space_fixed_path
-    return SpaceConfig(
-        blocks=config.space_blocks,
-        candidates=config.space_candidates,
-        input_shape=input_shape,
-        num_classes=config.data_classes,
-        channels=config.space_channels,
-        hidden_width=config.space_hidden_width,
-        init_seed=derive_seed(config.master_seed, "init"),
-        fixed_path=fixed_path,
-    )
-
-
-def federation_config(config: ExperimentConfig) -> FederationConfig:
-    return FederationConfig(
-        rounds=config.federation_rounds,
-        client_pool=config.federation_client_pool,
-        clients_per_round=config.federation_clients_per_round,
-        weighting=config.federation_weighting,
-        mode=config.mode,
-        server_alpha_threshold=config.federation_server_alpha_threshold,
-        workers=config.federation_workers,
-        master_seed=config.master_seed,
-    )
-
-
-def local_config(config: ExperimentConfig) -> LocalSearchConfig:
-    return LocalSearchConfig(
-        epochs=config.local_epochs,
-        batch_size=config.local_batch_size,
-        lr_w=config.local_lr_w,
-        lr_alpha=config.local_lr_alpha,
-        momentum_w=config.local_momentum_w,
-        alpha_threshold=config.local_alpha_threshold,
-        clip_norm=config.local_clip_norm,
     )
 
 

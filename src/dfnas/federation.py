@@ -11,9 +11,8 @@ measured byte counts are the real wire cost. Aggregation order is canonical
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,22 +51,33 @@ class FederationConfig:
     workers: int = 1
     master_seed: int = 0
 
-    def validate(self) -> None:
+    def problems(self) -> list[tuple[str, str]]:
+        """(field, complaint) for every rule this config breaks."""
+        found = []
         if self.rounds < 1:
-            raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
+            found.append(("rounds", f"must be >= 1, got {self.rounds}"))
         if self.client_pool < 1:
-            raise ConfigurationError(f"client_pool must be >= 1, got {self.client_pool}")
+            found.append(("client_pool", f"must be >= 1, got {self.client_pool}"))
         if not 1 <= self.clients_per_round <= self.client_pool:
-            raise ConfigurationError(
-                f"clients_per_round must be in [1, {self.client_pool}], "
-                f"got {self.clients_per_round}"
-            )
+            found.append((
+                "clients_per_round",
+                f"must be in [1, {self.client_pool}], got {self.clients_per_round}",
+            ))
         if self.weighting not in WEIGHTING_MODES:
-            raise ConfigurationError(f"weighting must be one of {WEIGHTING_MODES}")
+            found.append((
+                "weighting",
+                f"must be {' or '.join(WEIGHTING_MODES)}, got {self.weighting!r}",
+            ))
         if self.mode not in SEARCH_MODES:
-            raise ConfigurationError(f"mode must be one of {SEARCH_MODES}")
+            found.append(("mode", f"must be {' or '.join(SEARCH_MODES)}, got {self.mode!r}"))
         if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+            found.append(("workers", f"must be >= 1, got {self.workers}"))
+        return found
+
+    def validate(self) -> None:
+        found = self.problems()
+        if found:
+            raise ConfigurationError("; ".join(f"{name} {why}" for name, why in found))
 
 
 @dataclass
@@ -79,7 +89,6 @@ class RoundRecord:
     test_loss: float
     bytes_up: int
     bytes_down: int
-    wall_s: float  # measured; informational only
     work_units: int  # deterministic cost proxy (candidate executions + eval samples)
 
 
@@ -201,7 +210,6 @@ def _run_client(
 def run_round(state: FederationState, round_index: int) -> RoundRecord:
     """One full round: select, dispatch, collect, aggregate, evaluate."""
     cfg = state.config
-    started = time.perf_counter()
     rng = stream(cfg.master_seed, "selection", round_index)
     selected = select_clients(cfg.client_pool, cfg.clients_per_round, rng)
 
@@ -213,9 +221,6 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
         client_cfg = with_round(
             state.local, seed=derive_seed(cfg.master_seed, "client", cid), round_index=round_index
         )
-        # pruning is a server-side decision; prune masks are not part of the
-        # wire format, so clients never prune locally in federated mode
-        client_cfg = replace(client_cfg, alpha_threshold=float("-inf"))
         jobs.append((cid, state.shards[cid], client_cfg))
 
     results: dict[int, tuple[bytes, object]] = {}
@@ -248,6 +253,8 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
 
     state.global_blob = aggregated
     unflatten_params(state.net, aggregated)
+    # pruning is a server-side decision: prune masks are not part of the wire
+    # format, so clients always sample from the full space
     if cfg.server_alpha_threshold > float("-inf"):
         prune_edges(state.net, cfg.server_alpha_threshold)
 
@@ -262,7 +269,6 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
         test_loss=test_loss,
         bytes_up=bytes_up,
         bytes_down=bytes_down,
-        wall_s=time.perf_counter() - started,
         work_units=work_units,
     )
 

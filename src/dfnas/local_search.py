@@ -1,15 +1,14 @@
 """Client-side single-path architecture search on one private shard.
 
 Each batch: sample a path, run only that path forward, backpropagate, update
-the network weights by SGD, update every block's alpha with the score-function
-rule scaled by its mask gradient, then apply threshold pruning. The whole run
-is a pure function of (parameter blob, shard, config), so clients can execute
-in parallel without sharing state.
+the network weights by SGD, then update every block's alpha with the
+score-function rule scaled by its mask gradient. The whole run is a pure
+function of (parameter blob, shard, config), so clients can execute in
+parallel without sharing state. Pruning is left to the server.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +23,6 @@ from .supernet import (
     build_supernet,
     flatten_params,
     forward_path,
-    prune_edges,
     sample_path,
     unflatten_params,
 )
@@ -38,22 +36,31 @@ class LocalSearchConfig:
     lr_w: float = 0.05
     lr_alpha: float = 0.003
     momentum_w: float = 0.9
-    alpha_threshold: float = float("-inf")
     seed: int = 0
     epoch_offset: int = 0  # absolute index of this run's first epoch
     clip_norm: float | None = None
 
-    def validate(self) -> None:
+    def problems(self) -> list[tuple[str, str]]:
+        """(field, complaint) for every rule this config breaks."""
+        found = []
         if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+            found.append(("epochs", f"must be >= 1, got {self.epochs}"))
         if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr_w < 0 or self.lr_alpha < 0:
-            raise ConfigurationError("learning rates must be >= 0")
+            found.append(("batch_size", f"must be >= 1, got {self.batch_size}"))
+        if self.lr_w < 0:
+            found.append(("lr_w", f"must be >= 0, got {self.lr_w}"))
+        if self.lr_alpha < 0:
+            found.append(("lr_alpha", f"must be >= 0, got {self.lr_alpha}"))
         if not 0.0 <= self.momentum_w < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum_w}")
+            found.append(("momentum_w", f"must be in [0, 1), got {self.momentum_w}"))
         if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigurationError(f"clip_norm must be > 0, got {self.clip_norm}")
+            found.append(("clip_norm", f"must be > 0, got {self.clip_norm}"))
+        return found
+
+    def validate(self) -> None:
+        found = self.problems()
+        if found:
+            raise ConfigurationError("; ".join(f"{name} {why}" for name, why in found))
 
 
 @dataclass
@@ -63,7 +70,6 @@ class LocalSearchReport:
     epoch_losses: list[float]
     candidate_executions: int
     batches: int
-    duration_s: float
 
 
 def client_local_search(
@@ -87,7 +93,6 @@ def client_local_search(
     search_mode = any(r.name.endswith(".alpha") for r in initial.records)
 
     optimizer = SGD(net.parameters(), lr=config.lr_w, momentum=config.momentum_w)
-    started = time.perf_counter()
     net.counters.reset()
     epoch_losses: list[float] = []
     total_batches = 0
@@ -121,7 +126,6 @@ def client_local_search(
                 ):
                     grad = alpha_gradient(edge, selected, float(mask.grad))
                     edge.alpha -= config.lr_alpha * grad
-                prune_edges(net, config.alpha_threshold)
 
             losses.append(loss.item())
             total_batches += 1
@@ -133,7 +137,6 @@ def client_local_search(
         epoch_losses=epoch_losses,
         candidate_executions=net.counters.candidate_executions,
         batches=total_batches,
-        duration_s=time.perf_counter() - started,
     )
 
 

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .blob import FORMAT_VERSION, BlobRecord, ParameterBlob
+from .blob import FORMAT_VERSION, BlobRecord, ParameterBlob, check_layout
 from .errors import (
     ConfigurationError,
     DataError,
     InvariantError,
     NumericalError,
-    SerializationError,
     UsageError,
 )
 from .tensor import Tape, Tensor
@@ -259,14 +258,10 @@ class LinearHead:
 class Counters:
     """Instrumentation proving the single-path cost of each training step."""
 
-    forward_passes: int = 0
     candidate_executions: int = 0
-    peak_live_tensors: int = 0
 
     def reset(self) -> None:
-        self.forward_passes = 0
         self.candidate_executions = 0
-        self.peak_live_tensors = 0
 
 
 @dataclass(frozen=True)
@@ -292,10 +287,6 @@ class ChoiceEdge:
         self.candidates = candidates
         self.alpha = np.zeros(len(candidates))
         self.pruned = np.zeros(len(candidates), dtype=bool)
-
-    @property
-    def num_candidates(self) -> int:
-        return len(self.candidates)
 
     def unpruned_indices(self) -> np.ndarray:
         return np.nonzero(~self.pruned)[0]
@@ -364,9 +355,6 @@ class Supernet:
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.weight_items()]
-
-    def num_weight_params(self) -> int:
-        return sum(t.size for t in self.parameters())
 
 
 def _check_candidate_fits(
@@ -452,10 +440,6 @@ def build_supernet(space: SpaceConfig) -> Supernet:
 # sampling, forward, architecture updates
 
 
-def edge_probabilities(edge: ChoiceEdge) -> np.ndarray:
-    return edge.probabilities()
-
-
 def sample_path(net: Supernet, rng: np.random.Generator) -> PathSample:
     """Draw one candidate per block from softmax(alpha).
 
@@ -500,7 +484,6 @@ def forward_path(
             f"{net.input_shape}"
         )
     tape = Tape()
-    net.counters.forward_passes += 1
     x = net.stem.forward(features, tape)
     for edge, idx, mask in zip(net.edges, path.selections, path.mask_scalars):
         if edge.pruned[idx]:
@@ -510,7 +493,6 @@ def forward_path(
         net.counters.candidate_executions += 1
     logits = net.head.forward(x, tape)
     loss = tz.softmax_cross_entropy(logits, labels, tape)
-    net.counters.peak_live_tensors = max(net.counters.peak_live_tensors, tape.live_tensors)
     return loss, tape
 
 
@@ -663,29 +645,8 @@ def unflatten_params(net: Supernet, blob: ParameterBlob) -> None:
     A blob without alpha records (fixed-architecture exchange) loads weights
     only. Any divergence reports the first mismatching record by name.
     """
-    if blob.format_version != FORMAT_VERSION:
-        raise SerializationError(
-            f"blob version {blob.format_version}, expected {FORMAT_VERSION}"
-        )
     has_alpha = any(r.name.endswith(".alpha") for r in blob.records)
-    expected = expected_layout(net, include_alpha=has_alpha)
-    for i in range(max(len(expected), len(blob.records))):
-        if i >= len(blob.records):
-            raise SerializationError(f"layout mismatch: missing record {expected[i][0]!r}")
-        if i >= len(expected):
-            raise SerializationError(
-                f"layout mismatch: unexpected record {blob.records[i].name!r}"
-            )
-        name, shape = expected[i]
-        rec = blob.records[i]
-        if rec.name != name:
-            raise SerializationError(
-                f"layout mismatch at record {i}: got {rec.name!r}, expected {name!r}"
-            )
-        if rec.shape != shape:
-            raise SerializationError(
-                f"shape mismatch for record {name!r}: got {rec.shape}, expected {shape}"
-            )
+    check_layout(FORMAT_VERSION, expected_layout(net, include_alpha=has_alpha), blob)
     tensors = dict(net.weight_items())
     for rec in blob.records:
         if rec.name.endswith(".alpha"):

@@ -28,7 +28,6 @@ from dfnas.supernet import (
     SpaceConfig,
     alpha_gradient,
     build_supernet,
-    edge_probabilities,
     flatten_params,
     forward_logits,
     forward_path,
@@ -244,7 +243,7 @@ def test_criterion_02_alpha_update_unbiased():
         tape.backward(loss)
         return loss.item(), [float(m.grad) for m in masks]
 
-    probs = [edge_probabilities(e) for e in net.edges]
+    probs = [e.probabilities() for e in net.edges]
     estimator = [np.zeros(2), np.zeros(2)]
     analytic = [np.zeros(2), np.zeros(2)]
     for s0 in range(2):
@@ -390,7 +389,7 @@ def test_criterion_06_sampling_statistics():
     )
     net = build_supernet(space)
     net.edges[0].alpha[:] = [0.4, -0.3, 0.0, 0.8]
-    probs = edge_probabilities(net.edges[0])
+    probs = net.edges[0].probabilities()
     rng = np.random.default_rng(0)
     draws = 10_000
     counts = np.zeros(4)

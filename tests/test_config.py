@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from dfnas.config import (
@@ -30,7 +33,7 @@ def test_minimal_config_fills_defaults():
     assert config.master_seed == 0
     assert config.federation_rounds == 40
     assert config.local_lr_w == 0.05
-    assert config.local_alpha_threshold == float("-inf")
+    assert config.federation_server_alpha_threshold == float("-inf")
     assert config.space_candidates == ("linear8", "identity")
 
 
@@ -75,6 +78,23 @@ def test_round_trip_parse_serialize_parse():
     again = parse_config_text(text)
     assert again == config
 
+    every_field_changed = ExperimentConfig(
+        scenario="other", master_seed=11, mode="baseline", output_dir="out/x",
+        data_kind="blobs", data_train_samples=123, data_test_samples=45, data_classes=3,
+        data_noise=0.25, data_feature_dim=6, data_image_channels=2, data_image_size=6,
+        partition_kind="iid", partition_concentration=1.5, partition_resplit_each_round=True,
+        space_blocks=2, space_candidates=("linear8", "identity"), space_channels=4,
+        space_hidden_width=8, space_fixed_path=(1, 0),
+        federation_rounds=3, federation_client_pool=5, federation_clients_per_round=2,
+        federation_weighting="uniform", federation_server_alpha_threshold=-0.5,
+        federation_workers=2, federation_checkpoints=True,
+        local_epochs=3, local_batch_size=16, local_lr_w=0.01, local_lr_alpha=0.02,
+        local_momentum_w=0.5, local_clip_norm=2.5,
+    )
+    for f in fields(ExperimentConfig):
+        assert getattr(every_field_changed, f.name) != f.default, f.name
+    assert parse_config_text(serialize_config(every_field_changed)) == every_field_changed
+
 
 def test_round_trip_preserves_infinity_and_none():
     config = ExperimentConfig(
@@ -82,9 +102,15 @@ def test_round_trip_preserves_infinity_and_none():
         space_candidates=("linear8",), space_blocks=1,
     )
     again = parse_config_text(serialize_config(config))
-    assert again.local_alpha_threshold == float("-inf")
+    assert again.federation_server_alpha_threshold == float("-inf")
     assert again.local_clip_norm is None
     assert again.space_fixed_path is None
+
+
+def test_readme_config_block_lists_the_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config_text(block, source="README.md") == ExperimentConfig()
 
 
 def test_parse_from_file(tmp_path):

@@ -1,4 +1,4 @@
-"""Synthetic datasets, partitioners and the on-disk format."""
+"""Synthetic datasets and partitioners."""
 
 from __future__ import annotations
 
@@ -12,11 +12,8 @@ from dfnas.data import (
     dirichlet_split,
     generate_synthetic,
     iid_split,
-    load_csv,
-    load_dataset,
-    save_dataset,
 )
-from dfnas.errors import ConfigurationError, DataError, FormatError
+from dfnas.errors import ConfigurationError, DataError
 
 
 def spec(**overrides):
@@ -190,59 +187,3 @@ def test_partition_validation_catches_overlap_and_gaps():
         Partition(client_indices=[np.array([0, 1]), np.array([1, 2])])
     with pytest.raises(DataError):
         Partition(client_indices=[np.array([0, 1])], parent_size=3)
-
-
-# --- disk format ---
-
-
-def test_save_load_round_trip(tmp_path):
-    ds = generate_synthetic(
-        spec(kind="patches", n_samples=20, num_classes=4), np.random.default_rng(0)
-    )
-    path = tmp_path / "ds.bin"
-    save_dataset(ds, path)
-    again = load_dataset(path)
-    save_dataset(again, tmp_path / "ds2.bin")
-    assert (tmp_path / "ds.bin").read_bytes() == (tmp_path / "ds2.bin").read_bytes()
-    assert np.array_equal(again.features, ds.features)
-    assert np.array_equal(again.labels, ds.labels)
-
-
-def test_file_size_matches_manual_audit(tmp_path):
-    ds = generate_synthetic(spec(n_samples=10, num_classes=2), np.random.default_rng(0))
-    path = tmp_path / "ds.bin"
-    save_dataset(ds, path)
-    feature_elems = int(np.prod(ds.features.shape[1:]))
-    header = 4 + 4 + 4 + 1 + 4 * ds.features.ndim
-    assert path.stat().st_size == header + len(ds) * (feature_elems * 8 + 4)
-
-
-def test_truncated_file_rejected_with_offset(tmp_path):
-    ds = generate_synthetic(spec(n_samples=10, num_classes=2), np.random.default_rng(0))
-    path = tmp_path / "ds.bin"
-    save_dataset(ds, path)
-    raw = path.read_bytes()
-    (tmp_path / "bad.bin").write_bytes(raw[:-7])
-    with pytest.raises(FormatError) as exc:
-        load_dataset(tmp_path / "bad.bin")
-    assert "byte" in str(exc.value) or "offset" in str(exc.value)
-
-
-def test_bad_magic_and_version(tmp_path):
-    path = tmp_path / "x.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(FormatError):
-        load_dataset(path)
-
-
-def test_csv_import(tmp_path):
-    path = tmp_path / "fixture.csv"
-    path.write_text("1,0.5,1.5\n0,-1.0,2.0\n# comment\n1,3.0,4.0\n")
-    ds = load_csv(path)
-    assert len(ds) == 3
-    assert ds.num_classes == 2
-    assert np.allclose(ds.features[1], [-1.0, 2.0])
-    bad = tmp_path / "bad.csv"
-    bad.write_text("1,0.5\nnot-a-number,2.0\n")
-    with pytest.raises(FormatError):
-        load_csv(bad)

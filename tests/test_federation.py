@@ -328,23 +328,6 @@ def test_config_validation():
                          weighting="median").validate()
 
 
-def test_client_alpha_threshold_forced_off_in_federated_mode():
-    """Pruning is a server decision: a client-side threshold must not change
-    a federated run (masks are not part of the wire format)."""
-    def run(threshold):
-        train = blob_data(n=80, seed=11)
-        test = blob_data(n=40, seed=12)
-        partition = iid_split(train, 2, stream(0, "partition"))
-        fed = FederationConfig(rounds=2, client_pool=2, clients_per_round=2, master_seed=0)
-        local = LocalSearchConfig(epochs=1, batch_size=16, lr_w=0.05, lr_alpha=0.05,
-                                  alpha_threshold=threshold)
-        return run_federated_search(train, test, partition, vector_space(), fed, local)
-
-    off = run(float("-inf"))
-    aggressive = run(1e9)
-    assert off.final_blob.to_bytes() == aggressive.final_blob.to_bytes()
-
-
 def test_server_pruning_constrains_child_derivation():
     space = vector_space()
     train = blob_data(n=80, seed=11)

@@ -26,7 +26,6 @@ from dfnas.supernet import (
     alpha_gradient,
     build_supernet,
     derive_child,
-    edge_probabilities,
     flatten_params,
     forward_logits,
     forward_path,
@@ -82,9 +81,9 @@ def test_cardinality_degenerate_space():
 def test_build_is_deterministic():
     a = build_supernet(small_image_space(init_seed=5))
     b = build_supernet(small_image_space(init_seed=5))
-    assert flatten_params(a).same_bits(flatten_params(b))
+    assert flatten_params(a).to_bytes() == flatten_params(b).to_bytes()
     c = build_supernet(small_image_space(init_seed=6))
-    assert not flatten_params(a).same_bits(flatten_params(c))
+    assert flatten_params(a).to_bytes() != flatten_params(c).to_bytes()
 
 
 def test_build_rejects_incompatible_candidates():
@@ -123,13 +122,13 @@ def test_build_rejects_bad_shuffle_groups():
 
 def test_probabilities_uniform_at_zero_init():
     edge = ChoiceEdge([Identity() for _ in range(4)])
-    assert np.allclose(edge_probabilities(edge), [0.25] * 4, atol=1e-15)
+    assert np.allclose(edge.probabilities(), [0.25] * 4, atol=1e-15)
 
 
 def test_probabilities_renormalize_over_unpruned():
     edge = ChoiceEdge([Identity() for _ in range(4)])
     edge.pruned[3] = True
-    probs = edge_probabilities(edge)
+    probs = edge.probabilities()
     assert np.allclose(probs[:3], [1 / 3] * 3, atol=1e-15)
     assert probs[3] == 0.0
     assert abs(probs.sum() - 1.0) < 1e-9
@@ -139,15 +138,15 @@ def test_probabilities_match_direct_softmax():
     edge = ChoiceEdge([Identity() for _ in range(3)])
     edge.alpha[:] = [1.0, 2.0, 3.0]
     expect = np.exp([1.0, 2.0, 3.0]) / np.exp([1.0, 2.0, 3.0]).sum()
-    assert np.abs(edge_probabilities(edge) - expect).max() < 1e-12
+    assert np.abs(edge.probabilities() - expect).max() < 1e-12
 
 
 def test_probabilities_shift_invariant():
     edge = ChoiceEdge([Identity() for _ in range(3)])
     edge.alpha[:] = [0.2, -1.0, 0.7]
-    before = edge_probabilities(edge)
+    before = edge.probabilities()
     edge.alpha += 5.0
-    assert np.abs(edge_probabilities(edge) - before).max() < 1e-12
+    assert np.abs(edge.probabilities() - before).max() < 1e-12
 
 
 # --- sampling ---
@@ -168,7 +167,7 @@ def test_sampling_matches_softmax_chi_square():
         small_image_space(blocks=1, candidates=("conv3", "conv5", "identity", "sep3"))
     )
     net.edges[0].alpha[:] = [0.4, -0.3, 0.0, 0.8]
-    probs = edge_probabilities(net.edges[0])
+    probs = net.edges[0].probabilities()
     rng = np.random.default_rng(0)
     draws = 10_000
     counts = np.zeros(4)
@@ -202,7 +201,7 @@ def test_sampling_log_prob_accumulates():
     path = sample_path(net, rng)
     expect = 0.0
     for edge, k in zip(net.edges, path.selections):
-        expect += math.log(edge_probabilities(edge)[k])
+        expect += math.log(edge.probabilities()[k])
     assert abs(path.log_prob - expect) < 1e-12
 
 
@@ -217,7 +216,6 @@ def test_forward_executes_exactly_one_candidate_per_block():
     net.counters.reset()
     forward_path(net, path, features, labels)
     assert net.counters.candidate_executions == 5
-    assert net.counters.forward_passes == 1
 
 
 def test_forward_masks_do_not_change_the_loss():
@@ -268,7 +266,7 @@ def test_probabilities_reject_fully_pruned_edge():
     edge = ChoiceEdge([Identity(), Identity()])
     edge.pruned[:] = True
     with pytest.raises(InvariantError):
-        edge_probabilities(edge)
+        edge.probabilities()
 
 
 def test_forward_rejects_pruned_selection():
@@ -480,7 +478,7 @@ def test_alpha_update_unbiased_over_exhaustive_paths():
     readout = Tensor(rng.normal(size=(2, space.channels, 4, 4)))
     run = linear_readout_losses(net, readout, features)
 
-    probs = [edge_probabilities(e) for e in net.edges]
+    probs = [e.probabilities() for e in net.edges]
     expected_update = [np.zeros(2), np.zeros(2)]
     analytic = [np.zeros(2), np.zeros(2)]
     for s0 in range(2):
@@ -517,7 +515,7 @@ def test_same_config_nets_accept_each_others_blobs():
     a = build_supernet(small_image_space(init_seed=1))
     b = build_supernet(small_image_space(init_seed=2))
     unflatten_params(a, flatten_params(b))
-    assert flatten_params(a).same_bits(flatten_params(b))
+    assert flatten_params(a).to_bytes() == flatten_params(b).to_bytes()
 
 
 def test_blob_layout_mismatch_names_first_divergence():
@@ -537,7 +535,7 @@ def test_blob_without_alpha_loads_weights_only():
     other.edges[0].alpha[:] = [9.0, 9.0]
     unflatten_params(other, blob)
     assert np.array_equal(other.edges[0].alpha, [9.0, 9.0])  # untouched
-    assert flatten_params(other, include_alpha=False).same_bits(blob)
+    assert flatten_params(other, include_alpha=False).to_bytes() == blob.to_bytes()
 
 
 def test_blob_size_manual_audit():
