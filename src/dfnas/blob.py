@@ -1,7 +1,9 @@
 """Flat, versioned serialization of named parameter tensors.
 
-A blob is the unit of server/client exchange and of aggregation. The binary
-layout is little-endian:
+A blob is the unit of server/client exchange and of aggregation. In memory it
+is its layout, the (name, shape) of each record in order, plus one flat
+float64 vector holding the records' values back to back. The binary layout is
+little-endian:
 
     magic    4 bytes  b"DFNB"
     version  u32
@@ -12,11 +14,13 @@ layout is little-endian:
         payload  f64 * prod(dims)
 
 Round trips are bit-exact; two nets built from the same configuration produce
-blobs with identical layout (names, shapes, order).
+blobs with identical layout (names, shapes, order). Decoding rejects
+truncated, malformed and non-finite input, naming the byte offset or record.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -27,43 +31,37 @@ from .errors import SerializationError
 MAGIC = b"DFNB"
 FORMAT_VERSION = 1
 
-
-@dataclass(frozen=True)
-class BlobRecord:
-    name: str
-    shape: tuple[int, ...]
-    values: np.ndarray  # flat float64, length prod(shape)
-
-    def nbytes(self) -> int:
-        return 2 + len(self.name.encode()) + 1 + 4 * len(self.shape) + 8 * self.values.size
+Layout = tuple[tuple[str, tuple[int, ...]], ...]
 
 
 @dataclass
 class ParameterBlob:
-    format_version: int
-    records: list[BlobRecord]
+    layout: Layout
+    values: np.ndarray  # flat float64, the records back to back in layout order
 
     def nbytes(self) -> int:
         """Exact serialized size in bytes."""
-        return 12 + sum(r.nbytes() for r in self.records)
+        headers = sum(2 + len(name.encode()) + 1 + 4 * len(shape) for name, shape in self.layout)
+        return 12 + headers + 8 * self.values.size
 
-    def names(self) -> list[str]:
-        return [r.name for r in self.records]
-
-    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
-        return [(r.name, r.shape) for r in self.records]
+    def has_alpha(self) -> bool:
+        """Whether the blob carries architecture parameters (`*.alpha` records)."""
+        return any(name.endswith(".alpha") for name, _ in self.layout)
 
     def to_bytes(self) -> bytes:
-        parts = [MAGIC, struct.pack("<II", self.format_version, len(self.records))]
-        for rec in self.records:
-            name = rec.name.encode()
-            if len(name) > 0xFFFF:
-                raise SerializationError(f"record name too long: {rec.name!r}")
-            parts.append(struct.pack("<H", len(name)))
-            parts.append(name)
-            parts.append(struct.pack("<B", len(rec.shape)))
-            parts.append(struct.pack(f"<{len(rec.shape)}I", *rec.shape))
-            parts.append(np.ascontiguousarray(rec.values, dtype="<f8").tobytes())
+        payload = np.ascontiguousarray(self.values, dtype="<f8")
+        parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(self.layout))]
+        offset = 0
+        for name, shape in self.layout:
+            encoded = name.encode()
+            if len(encoded) > 0xFFFF:
+                raise SerializationError(f"record name too long: {name!r}")
+            size = math.prod(shape)
+            parts.append(struct.pack("<H", len(encoded)))
+            parts.append(encoded)
+            parts.append(struct.pack(f"<B{len(shape)}I", len(shape), *shape))
+            parts.append(payload[offset : offset + size].tobytes())
+            offset += size
         return b"".join(parts)
 
     @classmethod
@@ -79,51 +77,54 @@ class ParameterBlob:
                 f"unsupported blob version {version}, expected {FORMAT_VERSION}"
             )
         offset = 12
-        records: list[BlobRecord] = []
-        for _ in range(count):
-            offset, rec = cls._read_record(view, offset)
-            records.append(rec)
-        if offset != len(view):
-            raise SerializationError(
-                f"{len(view) - offset} trailing bytes after record {count - 1}"
-            )
-        return cls(format_version=version, records=records)
 
-    @staticmethod
-    def _read_record(view: memoryview, offset: int) -> tuple[int, BlobRecord]:
         def need(n: int) -> None:
             if offset + n > len(view):
                 raise SerializationError(f"blob truncated at byte {offset}")
 
-        need(2)
-        (name_len,) = struct.unpack_from("<H", view, offset)
-        offset += 2
-        need(name_len)
-        name = bytes(view[offset : offset + name_len]).decode()
-        offset += name_len
-        need(1)
-        rank = view[offset]
-        offset += 1
-        need(4 * rank)
-        shape = struct.unpack_from(f"<{rank}I", view, offset)
-        offset += 4 * rank
-        size = 1
-        for d in shape:
-            size *= d
-        need(8 * size)
-        values = np.frombuffer(view, dtype="<f8", count=size, offset=offset).copy()
-        offset += 8 * size
-        return offset, BlobRecord(name=name, shape=tuple(int(d) for d in shape), values=values)
+        layout = []
+        chunks = []
+        for _ in range(count):
+            need(2)
+            (name_len,) = struct.unpack_from("<H", view, offset)
+            offset += 2
+            need(name_len)
+            try:
+                name = bytes(view[offset : offset + name_len]).decode()
+            except UnicodeDecodeError as err:
+                raise SerializationError(
+                    f"record name at byte {offset} is not UTF-8: {err.reason}"
+                ) from None
+            offset += name_len
+            need(1)
+            rank = view[offset]
+            offset += 1
+            need(4 * rank)
+            shape = struct.unpack_from(f"<{rank}I", view, offset)
+            offset += 4 * rank
+            size = math.prod(shape)
+            need(8 * size)
+            chunks.append(np.frombuffer(view, dtype="<f8", count=size, offset=offset))
+            offset += 8 * size
+            layout.append((name, shape))
+        if offset != len(view):
+            raise SerializationError(
+                f"{len(view) - offset} trailing bytes after record {count - 1}"
+            )
+
+        values = np.concatenate(chunks) if chunks else np.zeros(0)
+        finite = np.isfinite(values)
+        if not finite.all():
+            ends = np.cumsum([math.prod(shape) for _, shape in layout])
+            bad = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+            raise SerializationError(f"non-finite value in record {layout[bad][0]!r}")
+        return cls(layout=tuple(layout), values=values)
 
 
-def check_layout(
-    version: int, layout: list[tuple[str, tuple[int, ...]]], blob: ParameterBlob
-) -> None:
-    """Raise unless `blob` has this version and (name, shape) layout, naming
-    the first record that differs."""
-    if blob.format_version != version:
-        raise SerializationError(f"blob version {blob.format_version}, expected {version}")
-    got = blob.layout()
+def check_layout(layout: Layout, blob: ParameterBlob) -> None:
+    """Raise unless `blob` has this (name, shape) layout, naming the first
+    record that differs."""
+    got = blob.layout
     for i in range(max(len(layout), len(got))):
         if i >= len(got):
             raise SerializationError(f"layout mismatch: missing record {layout[i][0]!r}")
@@ -138,8 +139,3 @@ def check_layout(
             raise SerializationError(
                 f"shape mismatch for record {name!r}: got {got_shape}, expected {shape}"
             )
-
-
-def check_layouts_match(a: ParameterBlob, b: ParameterBlob) -> None:
-    """Raise naming the first divergent record when layouts differ."""
-    check_layout(a.format_version, a.layout(), b)

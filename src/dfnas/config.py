@@ -193,18 +193,24 @@ def local_config(config: ExperimentConfig) -> LocalSearchConfig:
 def validate_config(config: ExperimentConfig) -> list[str]:
     """Every violation in one pass, each under its file key; empty means valid.
 
-    The federation and local sections state their own rules; the rules here
-    are the ones no section owns.
+    Each layer states its own rules (`problems()`); the rules here are the
+    ones no layer owns.
     """
+    classes = {"num_classes": "data.classes"}  # layer field -> file key, where they differ
+    layers = (
+        ("data", data_spec(config, config.data_train_samples),
+         {**classes, "n_samples": "data.train_samples"}),
+        ("data", data_spec(config, config.data_test_samples),
+         {**classes, "n_samples": "data.test_samples"}),
+        ("space", space_config(config), classes),
+        ("federation", federation_config(config), {}),
+        ("local", local_config(config), {}),
+    )
     problems: list[str] = []
-    if config.data_kind not in ("blobs", "rings", "patches"):
-        problems.append(f"data.kind must be blobs, rings or patches, got {config.data_kind!r}")
-    if config.data_train_samples < 1 or config.data_test_samples < 1:
-        problems.append("data.train_samples and data.test_samples must be >= 1")
-    if config.data_classes < 2:
-        problems.append(f"data.classes must be >= 2, got {config.data_classes}")
-    if config.data_noise < 0:
-        problems.append(f"data.noise must be >= 0, got {config.data_noise}")
+    for section, layer, keys in layers:
+        for name, complaint in layer.problems():
+            key = keys.get(name, f"{section}.{name}")
+            problems.append(f"{key if key in KEY_TABLE else name} {complaint}")
     if config.partition_kind not in ("iid", "dirichlet"):
         problems.append(f"partition.kind must be iid or dirichlet, got {config.partition_kind!r}")
     if config.partition_kind == "dirichlet" and config.partition_concentration <= 0:
@@ -213,31 +219,9 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         )
     if config.partition_resplit_each_round and config.partition_kind != "iid":
         problems.append("partition.resplit_each_round is only available for iid partitions")
-    if config.space_blocks < 1:
-        problems.append(f"space.blocks must be >= 1, got {config.space_blocks}")
-    if not config.space_candidates:
-        problems.append("space.candidates must list at least one candidate")
-    for section, section_problems in (
-        ("federation", federation_config(config).problems()),
-        ("local", local_config(config).problems()),
-    ):
-        for name, complaint in section_problems:
-            key = f"{section}.{name}"
-            problems.append(f"{key if key in KEY_TABLE else name} {complaint}")
-    if config.mode == "baseline":
-        if config.space_fixed_path is None:
-            problems.append("baseline mode requires space.fixed_path")
-        else:
-            if len(config.space_fixed_path) != config.space_blocks:
-                problems.append(
-                    f"space.fixed_path has {len(config.space_fixed_path)} entries, "
-                    f"space.blocks is {config.space_blocks}"
-                )
-            bad = [i for i in config.space_fixed_path
-                   if not 0 <= i < len(config.space_candidates)]
-            if bad:
-                problems.append(f"space.fixed_path indices out of range: {bad}")
-    return problems
+    if config.mode == "baseline" and config.space_fixed_path is None:
+        problems.append("baseline mode requires space.fixed_path")
+    return list(dict.fromkeys(problems))  # the data specs and the space share rules
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:

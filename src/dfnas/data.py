@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, raise_problems
 
 
 @dataclass
@@ -72,6 +72,27 @@ class DataSpec:
     image_channels: int = 1  # patches
     image_size: int = 8  # patches
 
+    def problems(self) -> list[tuple[str, str]]:
+        """(field, complaint) for every rule this spec breaks."""
+        found = []
+        if self.kind not in ("blobs", "rings", "patches"):
+            found.append(("kind", f"must be blobs, rings or patches, got {self.kind!r}"))
+        if self.n_samples < 1:
+            found.append(("n_samples", f"must be >= 1, got {self.n_samples}"))
+        if self.num_classes < 2:
+            found.append(("num_classes", f"must be >= 2, got {self.num_classes}"))
+        if self.noise < 0:
+            found.append(("noise", f"must be >= 0, got {self.noise}"))
+        if self.kind == "blobs" and self.feature_dim < self.num_classes:
+            found.append((
+                "feature_dim",
+                f"must be >= the class count for blobs, got "
+                f"{self.feature_dim} < {self.num_classes}",
+            ))
+        if self.kind == "rings" and self.feature_dim < 2:
+            found.append(("feature_dim", f"must be >= 2 for rings, got {self.feature_dim}"))
+        return found
+
 
 def _balanced_counts(n: int, classes: int) -> np.ndarray:
     counts = np.full(classes, n // classes, dtype=np.int64)
@@ -81,30 +102,17 @@ def _balanced_counts(n: int, classes: int) -> np.ndarray:
 
 def generate_synthetic(spec: DataSpec, rng: np.random.Generator) -> Dataset:
     """Deterministic balanced dataset of the requested geometry."""
-    if spec.n_samples < 1:
-        raise ConfigurationError(f"n_samples must be >= 1, got {spec.n_samples}")
-    if spec.num_classes < 2:
-        raise ConfigurationError(f"num_classes must be >= 2, got {spec.num_classes}")
-    if spec.noise < 0:
-        raise ConfigurationError(f"noise must be >= 0, got {spec.noise}")
-
+    raise_problems(spec.problems())
     counts = _balanced_counts(spec.n_samples, spec.num_classes)
     labels = np.repeat(np.arange(spec.num_classes), counts)
 
     if spec.kind == "blobs":
-        if spec.feature_dim < spec.num_classes:
-            raise ConfigurationError(
-                f"blobs need feature_dim >= num_classes, got "
-                f"{spec.feature_dim} < {spec.num_classes}"
-            )
         means = np.zeros((spec.num_classes, spec.feature_dim))
         means[np.arange(spec.num_classes), np.arange(spec.num_classes)] = 3.0
         features = means[labels] + spec.noise * rng.normal(
             size=(spec.n_samples, spec.feature_dim)
         )
     elif spec.kind == "rings":
-        if spec.feature_dim < 2:
-            raise ConfigurationError("rings need feature_dim >= 2")
         radius = 1.0 + labels.astype(np.float64)
         angle = rng.uniform(0.0, 2.0 * np.pi, size=spec.n_samples)
         r = radius + spec.noise * rng.normal(size=spec.n_samples)
@@ -115,10 +123,8 @@ def generate_synthetic(spec: DataSpec, rng: np.random.Generator) -> Dataset:
             features[:, 2:] = spec.noise * rng.normal(
                 size=(spec.n_samples, spec.feature_dim - 2)
             )
-    elif spec.kind == "patches":
-        features = _oriented_gratings(spec, labels, rng)
     else:
-        raise ConfigurationError(f"unknown dataset kind {spec.kind!r}")
+        features = _oriented_gratings(spec, labels, rng)
 
     perm = rng.permutation(spec.n_samples)
     return Dataset(features=features[perm], labels=labels[perm], num_classes=spec.num_classes)

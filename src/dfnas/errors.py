@@ -35,3 +35,9 @@ class FormatError(DfnasError):
 
 class InvariantError(DfnasError):
     """An internal invariant was violated (e.g. an edge with no candidates left)."""
+
+
+def raise_problems(found: list[tuple[str, str]]) -> None:
+    """Raise one ConfigurationError naming every (field, complaint) pair, if any."""
+    if found:
+        raise ConfigurationError("; ".join(f"{name} {why}" for name, why in found))

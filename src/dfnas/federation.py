@@ -17,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from .blob import ParameterBlob, check_layouts_match
+from .blob import ParameterBlob, check_layout
 from .data import Dataset, Partition
-from .errors import ConfigurationError, DfnasError
+from .errors import ConfigurationError, DfnasError, raise_problems
 from .local_search import LocalSearchConfig, client_local_search, with_round
 from .seeds import derive_seed, stream
 from .supernet import (
@@ -75,9 +75,7 @@ class FederationConfig:
         return found
 
     def validate(self) -> None:
-        found = self.problems()
-        if found:
-            raise ConfigurationError("; ".join(f"{name} {why}" for name, why in found))
+        raise_problems(self.problems())
 
 
 @dataclass
@@ -149,14 +147,11 @@ def aggregate(blobs: list[ParameterBlob], weights: list[float]) -> ParameterBlob
     if abs(sum(weights) - 1.0) > 1e-9:
         raise ConfigurationError(f"aggregation weights sum to {sum(weights)!r}, not 1")
     for other in blobs[1:]:
-        check_layouts_match(blobs[0], other)
-    records = []
-    for i, first in enumerate(blobs[0].records):
-        acc = weights[0] * first.values
-        for blob, w in zip(blobs[1:], weights[1:]):
-            acc = acc + w * blob.records[i].values
-        records.append(type(first)(name=first.name, shape=first.shape, values=acc))
-    return ParameterBlob(format_version=blobs[0].format_version, records=records)
+        check_layout(blobs[0].layout, other)
+    acc = weights[0] * blobs[0].values
+    for blob, w in zip(blobs[1:], weights[1:]):
+        acc = acc + w * blob.values
+    return ParameterBlob(layout=blobs[0].layout, values=acc)
 
 
 def evaluate(
@@ -216,38 +211,26 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
     payload = state.global_blob.to_bytes()
     bytes_down = len(payload) * len(selected)
 
-    jobs = []
-    for cid in selected:
+    def client_task(cid: int):
         client_cfg = with_round(
             state.local, seed=derive_seed(cfg.master_seed, "client", cid), round_index=round_index
         )
-        jobs.append((cid, state.shards[cid], client_cfg))
+        try:
+            return _run_client(payload, state.shards[cid], state.space, client_cfg)
+        except DfnasError as err:
+            raise ClientFailure(round_index, cid, err) from err
 
-    results: dict[int, tuple[bytes, object]] = {}
-    if cfg.workers > 1 and len(jobs) > 1:
+    # one worker maps on the calling thread: a one-thread pool only adds memory
+    if cfg.workers > 1 and len(selected) > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {
-                cid: pool.submit(_run_client, payload, shard, state.space, ccfg)
-                for cid, shard, ccfg in jobs
-            }
-            for cid, fut in futures.items():
-                try:
-                    results[cid] = fut.result()
-                except DfnasError as err:
-                    raise ClientFailure(round_index, cid, err) from err
+            outputs = list(pool.map(client_task, selected))
     else:
-        for cid, shard, ccfg in jobs:
-            try:
-                results[cid] = _run_client(payload, shard, state.space, ccfg)
-            except DfnasError as err:
-                raise ClientFailure(round_index, cid, err) from err
-
-    reports = [results[cid][1] for cid in selected]
-    bytes_up = sum(len(rb) for rb, _ in results.values())
+        outputs = list(map(client_task, selected))
+    bytes_up = sum(len(raw) for raw, _ in outputs)
 
     sizes = [state.shards[cid].features.shape[0] for cid in selected]
     weights = client_weights(cfg.weighting, sizes)
-    blobs_by_id = {cid: ParameterBlob.from_bytes(rb) for cid, (rb, _) in results.items()}
+    blobs_by_id = {cid: ParameterBlob.from_bytes(raw) for cid, (raw, _) in zip(selected, outputs)}
     weights_by_id = dict(zip(selected, weights))
     aggregated = aggregate_by_client(blobs_by_id, weights_by_id)
 
@@ -259,7 +242,7 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
         prune_edges(state.net, cfg.server_alpha_threshold)
 
     test_acc, test_loss = evaluate(state.net, state.test_set)
-    work_units = sum(r.candidate_executions for r in reports) + len(state.test_set)
+    work_units = sum(r.candidate_executions for _, r in outputs) + len(state.test_set)
 
     return RoundRecord(
         round_index=round_index,

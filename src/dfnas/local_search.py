@@ -15,7 +15,7 @@ import numpy as np
 
 from .blob import ParameterBlob
 from .data import Dataset
-from .errors import ConfigurationError, DataError
+from .errors import DataError, raise_problems
 from .seeds import stream
 from .supernet import (
     SpaceConfig,
@@ -58,9 +58,7 @@ class LocalSearchConfig:
         return found
 
     def validate(self) -> None:
-        found = self.problems()
-        if found:
-            raise ConfigurationError("; ".join(f"{name} {why}" for name, why in found))
+        raise_problems(self.problems())
 
 
 @dataclass
@@ -90,7 +88,7 @@ def client_local_search(
 
     net = build_supernet(space)
     unflatten_params(net, initial)
-    search_mode = any(r.name.endswith(".alpha") for r in initial.records)
+    search_mode = initial.has_alpha()
 
     optimizer = SGD(net.parameters(), lr=config.lr_w, momentum=config.momentum_w)
     net.counters.reset()

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .blob import FORMAT_VERSION, BlobRecord, ParameterBlob, check_layout
+from .blob import Layout, ParameterBlob, check_layout
 from .errors import (
     ConfigurationError,
     DataError,
     InvariantError,
     NumericalError,
     UsageError,
+    raise_problems,
 )
 from .tensor import Tape, Tensor
 
@@ -277,6 +278,27 @@ class SpaceConfig:
     init_seed: int = 0
     fixed_path: tuple[int, ...] | None = None  # restricts each block to one candidate
 
+    def problems(self) -> list[tuple[str, str]]:
+        """(field, complaint) for every rule this config breaks."""
+        found = []
+        if self.blocks < 1:
+            found.append(("blocks", f"must be >= 1, got {self.blocks}"))
+        if not self.candidates:
+            found.append(("candidates", "must list at least one candidate"))
+        if self.num_classes < 2:
+            found.append(("num_classes", f"must be >= 2, got {self.num_classes}"))
+        if len(self.input_shape) not in (1, 3):
+            found.append(("input_shape", f"must be (D,) or (C, H, W), got {self.input_shape}"))
+        if self.fixed_path is not None:
+            if len(self.fixed_path) != self.blocks:
+                found.append((
+                    "fixed_path", f"has {len(self.fixed_path)} entries, blocks is {self.blocks}"
+                ))
+            bad = [i for i in self.fixed_path if not 0 <= i < len(self.candidates)]
+            if bad:
+                found.append(("fixed_path", f"indices out of range: {bad}"))
+        return found
+
 
 class ChoiceEdge:
     """Candidates plus architecture parameters for one block."""
@@ -387,25 +409,7 @@ def build_supernet(space: SpaceConfig) -> Supernet:
     Weights use He fan-in scaling, biases and all alpha start at zero, so the
     round-0 sampling distribution is uniform.
     """
-    if space.blocks < 1:
-        raise ConfigurationError(f"blocks must be >= 1, got {space.blocks}")
-    if not space.candidates:
-        raise ConfigurationError("candidate list is empty")
-    if space.num_classes < 2:
-        raise ConfigurationError(f"num_classes must be >= 2, got {space.num_classes}")
-    if len(space.input_shape) not in (1, 3):
-        raise ConfigurationError(
-            f"input shape must be (D,) or (C, H, W), got {space.input_shape}"
-        )
-    if space.fixed_path is not None:
-        if len(space.fixed_path) != space.blocks:
-            raise ConfigurationError(
-                f"fixed path length {len(space.fixed_path)} != blocks {space.blocks}"
-            )
-        for i, idx in enumerate(space.fixed_path):
-            if not 0 <= idx < len(space.candidates):
-                raise ConfigurationError(f"fixed path index {idx} at block {i} out of range")
-
+    raise_problems(space.problems())
     rng = np.random.default_rng(space.init_seed)
     image = len(space.input_shape) == 3
     if image:
@@ -614,29 +618,24 @@ def _alpha_name(i: int) -> str:
     return f"block{i:02d}.alpha"
 
 
+def _named_arrays(net: Supernet, include_alpha: bool) -> list[tuple[str, np.ndarray]]:
+    """Every exchanged parameter in canonical order: all weights, then each alpha."""
+    items = [(name, t.data) for name, t in net.weight_items()]
+    if include_alpha:
+        items.extend((_alpha_name(i), e.alpha) for i, e in enumerate(net.edges))
+    return items
+
+
+def expected_layout(net: Supernet, include_alpha: bool = True) -> Layout:
+    return tuple((name, array.shape) for name, array in _named_arrays(net, include_alpha))
+
+
 def flatten_params(net: Supernet, include_alpha: bool = True) -> ParameterBlob:
-    """Serialize all weights (and optionally all alpha) in canonical order."""
-    records = [
-        BlobRecord(name=name, shape=t.shape, values=t.data.ravel().copy())
-        for name, t in net.weight_items()
-    ]
-    if include_alpha:
-        records.extend(
-            BlobRecord(
-                name=_alpha_name(i),
-                shape=edge.alpha.shape,
-                values=edge.alpha.copy(),
-            )
-            for i, edge in enumerate(net.edges)
-        )
-    return ParameterBlob(format_version=FORMAT_VERSION, records=records)
-
-
-def expected_layout(net: Supernet, include_alpha: bool = True) -> list[tuple[str, tuple[int, ...]]]:
-    layout = [(name, t.shape) for name, t in net.weight_items()]
-    if include_alpha:
-        layout.extend((_alpha_name(i), e.alpha.shape) for i, e in enumerate(net.edges))
-    return layout
+    """Copy all weights (and optionally all alpha) into one blob, in canonical order."""
+    return ParameterBlob(
+        layout=expected_layout(net, include_alpha),
+        values=np.concatenate([a.ravel() for _, a in _named_arrays(net, include_alpha)]),
+    )
 
 
 def unflatten_params(net: Supernet, blob: ParameterBlob) -> None:
@@ -645,12 +644,8 @@ def unflatten_params(net: Supernet, blob: ParameterBlob) -> None:
     A blob without alpha records (fixed-architecture exchange) loads weights
     only. Any divergence reports the first mismatching record by name.
     """
-    has_alpha = any(r.name.endswith(".alpha") for r in blob.records)
-    check_layout(FORMAT_VERSION, expected_layout(net, include_alpha=has_alpha), blob)
-    tensors = dict(net.weight_items())
-    for rec in blob.records:
-        if rec.name.endswith(".alpha"):
-            i = int(rec.name[len("block") : len("block") + 2])
-            net.edges[i].alpha[:] = rec.values
-        else:
-            tensors[rec.name].data[...] = rec.values.reshape(rec.shape)
+    check_layout(expected_layout(net, include_alpha=blob.has_alpha()), blob)
+    offset = 0
+    for _, array in _named_arrays(net, include_alpha=blob.has_alpha()):
+        array[...] = blob.values[offset : offset + array.size].reshape(array.shape)
+        offset += array.size

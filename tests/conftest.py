@@ -1,4 +1,4 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and helpers for the test suite.
 
 The finite-difference and dual-number helpers here are deliberately
 independent of the tape machinery they check.
@@ -6,7 +6,30 @@ independent of the tape machinery they check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from dfnas.blob import ParameterBlob
+
+
+def make_blob(*specs) -> ParameterBlob:
+    """A blob from (name, shape, values) records; values may be any array-like."""
+    return ParameterBlob(
+        layout=tuple((name, tuple(shape)) for name, shape, _ in specs),
+        values=np.concatenate([np.asarray(v, dtype=np.float64).ravel() for _, _, v in specs]),
+    )
+
+
+def named_arrays(blob: ParameterBlob) -> dict[str, np.ndarray]:
+    """Each record's values by name, in layout order and in the record's shape."""
+    arrays = {}
+    offset = 0
+    for name, shape in blob.layout:
+        size = math.prod(shape)
+        arrays[name] = blob.values[offset : offset + size].reshape(shape)
+        offset += size
+    return arrays
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5, coords=None) -> np.ndarray:

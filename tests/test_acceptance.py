@@ -13,11 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fd_gradient, rel_err
+from conftest import fd_gradient, make_blob, rel_err
 from scipy import stats
 
 from dfnas import tensor as tz
-from dfnas.blob import FORMAT_VERSION, BlobRecord, ParameterBlob
 from dfnas.config import ExperimentConfig, override
 from dfnas.data import DataSpec, Partition, dirichlet_split, generate_synthetic
 from dfnas.experiment import build_datasets, rank_fixed_paths, run_experiment
@@ -355,16 +354,12 @@ def test_criterion_05_aggregation_identities():
     )
     blob = flatten_params(build_supernet(space))
     mixed = aggregate([blob, blob, blob], [0.2, 0.5, 0.3])
-    for rec, orig in zip(mixed.records, blob.records):
-        assert np.abs(rec.values - orig.values).max() < 1e-12
+    assert np.abs(mixed.values - blob.values).max() < 1e-12
 
     def scalar(v):
-        return ParameterBlob(
-            format_version=FORMAT_VERSION,
-            records=[BlobRecord(name="w", shape=(1,), values=np.array([v]))],
-        )
+        return make_blob(("w", (1,), [v]))
 
-    assert aggregate([scalar(1.0), scalar(3.0)], [0.25, 0.75]).records[0].values[0] == 2.5
+    assert aggregate([scalar(1.0), scalar(3.0)], [0.25, 0.75]).values[0] == 2.5
 
     rng = np.random.default_rng(1)
     blobs = {cid: scalar(rng.normal()) for cid in (3, 0, 2, 1)}

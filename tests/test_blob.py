@@ -1,36 +1,31 @@
-"""Parameter blob wire format: round trips, layout checks, truncation."""
+"""Parameter blob wire format: round trips, layout checks, malformed input."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfnas.blob import FORMAT_VERSION, BlobRecord, ParameterBlob, check_layouts_match
+from conftest import make_blob
+from dfnas.blob import ParameterBlob, check_layout
 from dfnas.errors import SerializationError
 
 
-def _blob(*specs):
-    records = [
-        BlobRecord(name=name, shape=shape, values=np.asarray(vals, dtype=np.float64).ravel())
-        for name, shape, vals in specs
-    ]
-    return ParameterBlob(format_version=FORMAT_VERSION, records=records)
-
-
 def test_round_trip_is_bit_exact():
-    blob = _blob(
+    blob = make_blob(
         ("w", (2, 2), [[1.0, -2.5], [3.25, 1e-300]]),
         ("b", (2,), [0.0, -0.0]),
     )
     raw = blob.to_bytes()
     again = ParameterBlob.from_bytes(raw)
     assert again.to_bytes() == raw
-    assert again.records[0].shape == (2, 2)
-    assert again.records[1].values.tobytes() == blob.records[1].values.tobytes()
+    assert again.layout[0] == ("w", (2, 2))
+    assert again.values.tobytes() == blob.values.tobytes()
 
 
 def test_nbytes_matches_serialized_length():
-    blob = _blob(("stem.weight", (3, 1, 1, 1), np.arange(3.0)), ("x", (), [4.0]))
+    blob = make_blob(("stem.weight", (3, 1, 1, 1), np.arange(3.0)), ("x", (), [4.0]))
     assert blob.nbytes() == len(blob.to_bytes())
 
 
@@ -41,7 +36,7 @@ def test_bad_magic_rejected():
 
 
 def test_version_mismatch_rejected():
-    blob = _blob(("w", (1,), [1.0]))
+    blob = make_blob(("w", (1,), [1.0]))
     raw = bytearray(blob.to_bytes())
     raw[4] = 99
     with pytest.raises(SerializationError) as exc:
@@ -50,7 +45,7 @@ def test_version_mismatch_rejected():
 
 
 def test_truncation_reports_offset():
-    blob = _blob(("w", (4,), [1.0, 2.0, 3.0, 4.0]))
+    blob = make_blob(("w", (4,), [1.0, 2.0, 3.0, 4.0]))
     raw = blob.to_bytes()
     with pytest.raises(SerializationError) as exc:
         ParameterBlob.from_bytes(raw[:-5])
@@ -58,19 +53,76 @@ def test_truncation_reports_offset():
 
 
 def test_trailing_bytes_rejected():
-    blob = _blob(("w", (1,), [1.0]))
+    blob = make_blob(("w", (1,), [1.0]))
     with pytest.raises(SerializationError):
         ParameterBlob.from_bytes(blob.to_bytes() + b"\x00")
 
 
-def test_layout_check_names_first_divergent_record():
-    a = _blob(("w", (1,), [1.0]), ("b", (1,), [2.0]))
-    b = _blob(("w", (1,), [1.0]), ("c", (1,), [2.0]))
+def test_non_utf8_record_name_reports_offset():
+    raw = bytearray(make_blob(("w", (1,), [1.0]), ("b", (1,), [2.0])).to_bytes())
+    name_at = 12 + (2 + 1 + 1 + 4 + 8) + 2  # second record's name
+    assert raw[name_at] == ord("b")
+    raw[name_at] = 0xFF
     with pytest.raises(SerializationError) as exc:
-        check_layouts_match(a, b)
+        ParameterBlob.from_bytes(bytes(raw))
+    assert f"byte {name_at}" in str(exc.value)
+
+
+def test_non_finite_payload_names_first_bad_record():
+    for bad in (np.nan, np.inf, -np.inf):
+        blob = make_blob(("w", (2,), [1.0, 2.0]), ("b", (3,), [3.0, bad, 4.0]),
+                         ("c", (1,), [bad]))
+        with pytest.raises(SerializationError) as exc:
+            ParameterBlob.from_bytes(blob.to_bytes())
+        assert "'b'" in str(exc.value)
+
+
+def test_layout_check_names_first_divergent_record():
+    a = make_blob(("w", (1,), [1.0]), ("b", (1,), [2.0]))
+    b = make_blob(("w", (1,), [1.0]), ("c", (1,), [2.0]))
+    with pytest.raises(SerializationError) as exc:
+        check_layout(a.layout, b)
     assert "'b'" in str(exc.value) and "'c'" in str(exc.value)
 
-    c = _blob(("w", (2,), [1.0, 2.0]))
+    c = make_blob(("w", (2,), [1.0, 2.0]))
     with pytest.raises(SerializationError) as exc:
-        check_layouts_match(_blob(("w", (1,), [1.0])), c)
+        check_layout(make_blob(("w", (1,), [1.0])).layout, c)
     assert "'w'" in str(exc.value)
+
+
+# --- properties over arbitrary valid blobs ---
+
+
+@st.composite
+def wire_blobs(draw) -> bytes:
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.text(alphabet="ab.0é", max_size=6))
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+        values = draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+        ))
+        records.append((name, shape, values))
+    return make_blob(*records).to_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(wire_blobs(), st.data())
+def test_any_truncation_is_rejected(raw, data):
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    with pytest.raises(SerializationError):
+        ParameterBlob.from_bytes(raw[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_blobs(), st.data())
+def test_single_byte_change_is_rejected_or_round_trips(raw, data):
+    at = data.draw(st.integers(0, len(raw) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[at]))
+    changed = raw[:at] + bytes([byte]) + raw[at + 1 :]
+    try:
+        blob = ParameterBlob.from_bytes(changed)
+    except SerializationError:
+        return
+    assert blob.to_bytes() == changed

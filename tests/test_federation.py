@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dfnas.blob import FORMAT_VERSION, BlobRecord, ParameterBlob
+from conftest import make_blob
 from dfnas.data import DataSpec, Dataset, Partition, generate_synthetic, iid_split
 from dfnas.errors import ConfigurationError, SerializationError
 from dfnas.federation import (
@@ -50,10 +50,7 @@ def blob_data(n=96, seed=1, classes=2, dim=4, noise=0.3):
 
 
 def scalar_blob(value):
-    return ParameterBlob(
-        format_version=FORMAT_VERSION,
-        records=[BlobRecord(name="w", shape=(1,), values=np.array([float(value)]))],
-    )
+    return make_blob(("w", (1,), [float(value)]))
 
 
 # --- client selection ---
@@ -93,28 +90,21 @@ def test_aggregate_fixed_point_on_identical_blobs():
     net = build_supernet(vector_space())
     blob = flatten_params(net)
     out = aggregate([blob, blob, blob], [0.2, 0.5, 0.3])
-    for rec, orig in zip(out.records, blob.records):
-        assert np.abs(rec.values - orig.values).max() < 1e-12
+    assert np.abs(out.values - blob.values).max() < 1e-12
 
 
 def test_aggregate_two_scalar_hand_case():
     out = aggregate([scalar_blob(1.0), scalar_blob(3.0)], [0.25, 0.75])
-    assert out.records[0].values[0] == 2.5  # exact in binary floating point
+    assert out.values[0] == 2.5  # exact in binary floating point
 
 
 def test_aggregate_matches_high_precision_mean():
     rng = np.random.default_rng(3)
-    blobs = [
-        ParameterBlob(
-            format_version=FORMAT_VERSION,
-            records=[BlobRecord(name="w", shape=(64,), values=rng.normal(size=64))],
-        )
-        for _ in range(5)
-    ]
+    blobs = [make_blob(("w", (64,), rng.normal(size=64))) for _ in range(5)]
     out = aggregate(blobs, [0.2] * 5)
-    stacked = np.stack([b.records[0].values for b in blobs]).astype(np.longdouble)
+    stacked = np.stack([b.values for b in blobs]).astype(np.longdouble)
     oracle = (stacked.mean(axis=0)).astype(np.float64)
-    assert np.abs(out.records[0].values - oracle).max() < 1e-12
+    assert np.abs(out.values - oracle).max() < 1e-12
 
 
 def test_aggregate_validates_weights_and_layout():
@@ -124,10 +114,7 @@ def test_aggregate_validates_weights_and_layout():
         aggregate([scalar_blob(1.0), scalar_blob(2.0)], [0.8, 0.1])
     with pytest.raises(ConfigurationError):
         aggregate([scalar_blob(1.0), scalar_blob(2.0)], [-0.5, 1.5])
-    other = ParameterBlob(
-        format_version=FORMAT_VERSION,
-        records=[BlobRecord(name="v", shape=(1,), values=np.array([1.0]))],
-    )
+    other = make_blob(("v", (1,), [1.0]))
     with pytest.raises(SerializationError):
         aggregate([scalar_blob(1.0), other], [0.5, 0.5])
 
@@ -155,9 +142,7 @@ def test_symmetry_identical_clients_aggregate_to_single_result():
     config = LocalSearchConfig(epochs=1, batch_size=16, lr_w=0.05, lr_alpha=0.01, seed=3)
     reports = [client_local_search(blob, shard, space, config) for _ in range(3)]
     out = aggregate([r.blob for r in reports], [1 / 3] * 3)
-    single = reports[0].blob
-    for rec, ref in zip(out.records, single.records):
-        assert np.abs(rec.values - ref.values).max() < 1e-12
+    assert np.abs(out.values - reports[0].blob.values).max() < 1e-12
 
 
 # --- evaluation ---
@@ -275,8 +260,7 @@ def test_threaded_dispatch_matches_sequential():
 def test_equal_shards_make_weighting_modes_identical():
     a = small_run(pool=4, k=4, rounds=2, weighting="proportional")
     b = small_run(pool=4, k=4, rounds=2, weighting="uniform")
-    for ra, rb in zip(a.final_blob.records, b.final_blob.records):
-        assert np.abs(ra.values - rb.values).max() < 1e-12
+    assert np.abs(a.final_blob.values - b.final_blob.values).max() < 1e-12
 
 
 def test_baseline_mode_requires_fixed_architecture():
@@ -287,19 +271,22 @@ def test_baseline_mode_requires_fixed_architecture():
 def test_baseline_mode_exchanges_weights_only():
     space = vector_space(fixed_path=(0, 1))
     result = small_run(mode="baseline", space=space)
-    assert not any(r.name.endswith(".alpha") for r in result.final_blob.records)
+    assert not result.final_blob.has_alpha()
     assert result.child.selections == (0, 0)  # singleton edges
     assert result.child.kinds == ("linear8", "identity")
 
 
-def test_client_failure_aborts_round_with_id():
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.errstate stays on this thread
+def test_client_failure_aborts_round_with_id(workers):
     train = blob_data(n=40, seed=11)
     bad = train.features.copy()
     bad[:10] = 1e200  # client 0's rows blow up
     train = Dataset(features=bad, labels=train.labels, num_classes=train.num_classes)
     test = blob_data(n=20, seed=12)
     partition = Partition(client_indices=[np.arange(10), np.arange(10, 40)])
-    fed = FederationConfig(rounds=1, client_pool=2, clients_per_round=2, master_seed=0)
+    fed = FederationConfig(rounds=1, client_pool=2, clients_per_round=2, master_seed=0,
+                           workers=workers)
     local = LocalSearchConfig(epochs=1, batch_size=8, lr_w=0.05)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ClientFailure) as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import named_arrays
 
 from dfnas import tensor as tz
 from dfnas.data import DataSpec, Dataset, generate_synthetic
@@ -63,7 +64,10 @@ def test_degenerate_supernet_equals_plain_sgd_oracle():
     report = client_local_search(blob, shard, space, config)
 
     # oracle: plain SGD over the same six tensors, no supernet machinery
-    params = {r.name: Tensor(r.values.reshape(r.shape), requires_grad=True) for r in blob.records}
+    params = {
+        name: Tensor(values.copy(), requires_grad=True)
+        for name, values in named_arrays(blob).items()
+    }
     weights = [
         params["stem.weight"], params["stem.bias"],
         params["block00.cand0.weight"], params["block00.cand0.bias"],
@@ -99,9 +103,9 @@ def test_degenerate_supernet_equals_plain_sgd_oracle():
         oracle_losses.append(float(np.mean(losses)))
 
     assert np.abs(np.array(report.epoch_losses) - np.array(oracle_losses)).max() < 1e-10
-    for rec in report.blob.records:
-        if not rec.name.endswith(".alpha"):
-            assert rec.values.tobytes() == params[rec.name].data.ravel().tobytes()
+    for name, values in named_arrays(report.blob).items():
+        if not name.endswith(".alpha"):
+            assert values.tobytes() == params[name].data.tobytes()
 
 
 def test_search_finds_capable_candidate_on_rings():
@@ -198,7 +202,7 @@ def test_weights_only_blob_trains_fixed_architecture():
     blob = flatten_params(net, include_alpha=False)
     config = LocalSearchConfig(epochs=1, batch_size=16, lr_w=0.05, momentum_w=0.0)
     report = client_local_search(blob, blob_shard(), space, config)
-    assert not any(r.name.endswith(".alpha") for r in report.blob.records)
+    assert not report.blob.has_alpha()
 
 
 def test_empty_shard_rejected():
@@ -252,9 +256,6 @@ def test_clip_norm_limits_update_magnitude():
     )
 
     def total_drift(report):
-        drift = 0.0
-        for before, after in zip(blob.records, report.blob.records):
-            drift += float(np.abs(after.values - before.values).sum())
-        return drift
+        return float(np.abs(report.blob.values - blob.values).sum())
 
     assert total_drift(clipped) < total_drift(free)

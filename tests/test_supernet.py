@@ -530,7 +530,7 @@ def test_blob_without_alpha_loads_weights_only():
     net = build_supernet(small_image_space())
     net.edges[0].alpha[:] = [1.5, -0.5]
     blob = flatten_params(net, include_alpha=False)
-    assert not any(r.name.endswith(".alpha") for r in blob.records)
+    assert not blob.has_alpha()
     other = build_supernet(small_image_space(init_seed=9))
     other.edges[0].alpha[:] = [9.0, 9.0]
     unflatten_params(other, blob)
@@ -560,6 +560,6 @@ def test_blob_size_manual_audit():
         numel = int(np.prod(shape)) if shape else 1
         expected += 2 + len(name) + 1 + 4 * len(shape) + 8 * numel
     raw = blob.to_bytes()
-    assert blob.names() == [n for n, _ in layout]
+    assert blob.layout == tuple(layout)
     assert len(raw) == expected
     assert blob.nbytes() == expected
