@@ -141,8 +141,16 @@ class PathRank:
     final_loss: float
 
 
+# Part of every ranking-cache key. Bump it whenever a change alters float
+# summation order anywhere a ranked path trains or evaluates (so that the bits
+# of a ranking change), and rankings cached by older code are recomputed
+# instead of silently reused. Changes that keep every output bit leave it as is.
+NUMERICS_VERSION = 1
+
+
 def _ranking_cache_key(config: ExperimentConfig, epochs: int, lr: float, momentum: float) -> str:
     payload = {
+        "numerics": NUMERICS_VERSION,
         "candidates": list(config.space_candidates),
         "blocks": config.space_blocks,
         "channels": config.space_channels,

@@ -124,8 +124,11 @@ class Tape:
                     continue
                 _ensure_finite(dt, "backward")
                 if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += dt
+                    # A fresh C-ordered array, never an alias of dt: reductions
+                    # over a gradient (clip norm, bias) sum in memory order.
+                    t.grad = np.add(dt, 0.0, order="C")
+                else:
+                    t.grad += dt
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +251,6 @@ def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     return span // stride + 1
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, h_out, w_out), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[
-                :, :, i : i + (h_out - 1) * stride + 1 : stride,
-                j : j + (w_out - 1) * stride + 1 : stride,
-            ]
-    return cols
-
-
 def conv2d(
     x: Tensor,
     kernel: Tensor,
@@ -273,6 +264,11 @@ def conv2d(
     With groups > 1 the kernel is F x (C/groups) x k x k and input/output
     channels are split into `groups` independent bands (groups == C gives a
     depthwise convolution).
+
+    Each contraction (output, kernel gradient, column gradient) is one
+    `np.matmul` with the group as its batch axis. Its operand shapes and
+    layouts are those `einsum(optimize=True)` gives a per-group contraction,
+    so results match a per-group einsum bit for bit (tests pin this).
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError(
@@ -294,57 +290,52 @@ def conv2d(
         )
     h_out = _conv_out_size(h, k, stride, padding)
     w_out = _conv_out_size(w, k, stride, padding)
+    f_per_group = f // groups
+    m = n * h_out * w_out  # columns per group
+    padded = (n, c, h + 2 * padding, w + 2 * padding)
+    windows = [
+        (i, j, np.s_[:, :, i : i + (h_out - 1) * stride + 1 : stride,
+                     j : j + (w_out - 1) * stride + 1 : stride])
+        for i in range(k)
+        for j in range(k)
+    ]
 
     if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
+        xp = np.zeros(padded, dtype=np.float64)
         xp[:, :, padding : padding + h, padding : padding + w] = x.data
     else:
         xp = x.data
-    cols = _im2col(xp, k, stride, h_out, w_out)
+    # Columns laid out (C, k, k, N, Ho, Wo): each group's block is a
+    # C-contiguous (C/groups * k * k, N * Ho * Wo) matrix.
+    cols = np.empty((c, k, k, n, h_out, w_out), dtype=np.float64)
+    xp_cn = xp.transpose(1, 0, 2, 3)
+    for i, j, window in windows:
+        cols[:, i, j] = xp_cn[window]
+    cols = cols.reshape(groups, c_per_group * k * k, m)
+    kmat = kernel.data.reshape(groups, f_per_group, c_per_group * k * k)
 
-    f_per_group = f // groups
-    out_arr = np.empty((n, f, h_out, w_out), dtype=np.float64)
-    for g_idx in range(groups):
-        cs = slice(g_idx * c_per_group, (g_idx + 1) * c_per_group)
-        fs = slice(g_idx * f_per_group, (g_idx + 1) * f_per_group)
-        out_arr[:, fs] = np.einsum(
-            "ncijhw,fcij->nfhw", cols[:, cs], kernel.data[fs], optimize=True
-        )
-    out = _wrap(out_arr, "conv2d", x.requires_grad or kernel.requires_grad)
+    out_arr = np.matmul(kmat, cols).reshape(f, n, h_out, w_out).transpose(1, 0, 2, 3)
+    out = _wrap(np.ascontiguousarray(out_arr), "conv2d", x.requires_grad or kernel.requires_grad)
 
     if tape is not None:
-        kernel_data = kernel.data
-
         def backward(g, needs):
+            g_groups = g.reshape(n, groups, f_per_group, h_out * w_out)
             dk = None
             if needs[1]:
-                dk = np.empty_like(kernel_data)
-                for gi in range(groups):
-                    cs = slice(gi * c_per_group, (gi + 1) * c_per_group)
-                    fs = slice(gi * f_per_group, (gi + 1) * f_per_group)
-                    dk[fs] = np.einsum(
-                        "nfhw,ncijhw->fcij", g[:, fs], cols[:, cs], optimize=True
-                    )
+                # (G, N*Ho*Wo, F/G), C-contiguous
+                gt = np.ascontiguousarray(g_groups.transpose(1, 0, 3, 2))
+                dk = np.matmul(cols, gt.reshape(groups, m, f_per_group))
+                dk = dk.transpose(0, 2, 1).reshape(kernel.shape)
             dx = None
             if needs[0]:
-                dxp = np.zeros_like(xp)
-                for gi in range(groups):
-                    cs = slice(gi * c_per_group, (gi + 1) * c_per_group)
-                    fs = slice(gi * f_per_group, (gi + 1) * f_per_group)
-                    dcols = np.einsum(
-                        "nfhw,fcij->ncijhw", g[:, fs], kernel_data[fs], optimize=True
-                    )
-                    for i in range(k):
-                        for j in range(k):
-                            dxp[
-                                :, cs, i : i + (h_out - 1) * stride + 1 : stride,
-                                j : j + (w_out - 1) * stride + 1 : stride,
-                            ] += dcols[:, :, i, j]
-                dx = (
-                    dxp[:, :, padding : padding + h, padding : padding + w]
-                    if padding
-                    else dxp
-                )
+                # (G, F/G, N*Ho*Wo), C-contiguous
+                gm = np.ascontiguousarray(g_groups.transpose(1, 2, 0, 3))
+                dcols = np.matmul(kmat.transpose(0, 2, 1), gm.reshape(groups, f_per_group, m))
+                dcols = dcols.reshape(c, k, k, n, h_out, w_out).transpose(3, 0, 1, 2, 4, 5)
+                dxp = np.zeros(padded, dtype=np.float64)
+                for i, j, window in windows:
+                    dxp[window] += dcols[:, :, i, j]
+                dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
             return dx, dk
 
         tape.record((x, kernel), out, backward)

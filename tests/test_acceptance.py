@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass line per
 criterion. The end-to-end scenario (criterion 7) is built once per session
 and shared by criteria 9 and 10; its exhaustive path ranking is cached in
-tests/.cache/ across sessions.
+tests/.cache/ across sessions. Those three are marked `slow`, so
+`pytest -m "not slow"` skips the scenario.
 """
 
 from __future__ import annotations
@@ -421,6 +422,7 @@ def test_criterion_06_sampling_statistics():
 # 7. desk-scale end-to-end
 
 
+@pytest.mark.slow
 def test_criterion_07_desk_scale_end_to_end(desk_scale):
     ranks = desk_scale["ranks"]
     dfnas_acc = desk_scale["dfnas"].result.history[-1].test_acc
@@ -460,6 +462,7 @@ def test_criterion_08_cardinality():
 # 9. communication accounting
 
 
+@pytest.mark.slow
 def test_criterion_09_communication_accounting(desk_scale):
     config = desk_scale["config"]
     from dfnas.experiment import space_config
@@ -484,6 +487,7 @@ def test_criterion_09_communication_accounting(desk_scale):
 # 10. reproducibility
 
 
+@pytest.mark.slow
 def test_criterion_10_reproducibility(desk_scale):
     rerun_cfg = override(
         desk_scale["config"], output_dir=str(desk_scale["root"] / "dfnas-rerun")

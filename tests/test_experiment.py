@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from dfnas import experiment
 from dfnas.cli import main
 from dfnas.config import ExperimentConfig, override, serialize_config
 from dfnas.errors import ConfigurationError, FormatError
 from dfnas.experiment import (
     METRICS_HEADER,
+    PathRank,
     build_datasets,
     build_partition,
     compare_runs,
@@ -135,6 +139,27 @@ def test_client_count_sweep_produces_one_csv_per_setting(tmp_path):
         assert len(rows) == 3
         assert rows[0]["clients"] == k
     assert set(finals) == {2, 4, 8}
+
+
+def test_ranking_cache_from_other_numerics_version_is_recomputed(tmp_path, monkeypatch):
+    config = small_config(tmp_path)
+    train, test = build_datasets(config)
+    cache = tmp_path / "ranks.json"
+    fresh = rank_fixed_paths(config, train, test, epochs=1, cache_path=cache)
+
+    # The same ranking cached by code with other numerics, and other numbers.
+    monkeypatch.setattr(experiment, "NUMERICS_VERSION", experiment.NUMERICS_VERSION + 1)
+    stale = [PathRank(r.path, 0.0, 9.0) for r in fresh]
+    other_key = experiment._ranking_cache_key(config, 1, 0.05, 0.0)
+    cache.write_text(json.dumps({"key": other_key, "ranks": [
+        {"path": list(r.path), "test_acc": r.test_acc, "final_loss": r.final_loss}
+        for r in stale
+    ]}))
+    assert rank_fixed_paths(config, train, test, epochs=1, cache_path=cache) == stale
+
+    monkeypatch.undo()
+    assert rank_fixed_paths(config, train, test, epochs=1, cache_path=cache) == fresh
+    assert json.loads(cache.read_text())["key"] != other_key
 
 
 def test_rank_fixed_paths_orders_and_caches(tmp_path):

@@ -145,6 +145,80 @@ def test_conv2d_grouped_and_strided_gradients():
     assert rel_err(k.grad, fd_gradient(f_k, k.data)) < 1e-5
 
 
+def _einsum_conv2d(x, kernel, stride, padding, groups, g):
+    """Reference: the earlier per-group einsum conv2d, as (out, dx, dk) for
+    upstream gradient g. Kept to pin conv2d's results bit for bit."""
+    n, c, h, w = x.shape
+    f, c_per_group, k, _ = kernel.shape
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (w + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    window = [
+        [np.s_[:, :, i : i + (h_out - 1) * stride + 1 : stride,
+               j : j + (w_out - 1) * stride + 1 : stride] for j in range(k)]
+        for i in range(k)
+    ]
+    cols = np.empty((n, c, k, k, h_out, w_out))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[window[i][j]]
+    f_per_group = f // groups
+    out = np.empty((n, f, h_out, w_out))
+    dk = np.empty_like(kernel)
+    dxp = np.zeros_like(xp)
+    for gi in range(groups):
+        cs = slice(gi * c_per_group, (gi + 1) * c_per_group)
+        fs = slice(gi * f_per_group, (gi + 1) * f_per_group)
+        out[:, fs] = np.einsum("ncijhw,fcij->nfhw", cols[:, cs], kernel[fs], optimize=True)
+        dk[fs] = np.einsum("nfhw,ncijhw->fcij", g[:, fs], cols[:, cs], optimize=True)
+        dcols = np.einsum("nfhw,fcij->ncijhw", g[:, fs], kernel[fs], optimize=True)
+        for i in range(k):
+            for j in range(k):
+                dxp[:, cs][window[i][j]] += dcols[:, :, i, j]
+    return out, dxp[:, :, padding : padding + h, padding : padding + w], dk
+
+
+# (batch, in channels, out channels, kernel, groups, stride): the shapes the
+# search space runs, at training batch 32, evaluation batch 256 and a ragged
+# last batch.
+CONV_SHAPES = {
+    "dense-k3-b32": (32, 4, 4, 3, 1, 1),
+    "dense-k5-b32": (32, 4, 4, 5, 1, 1),
+    "dense-k3-b256": (256, 4, 4, 3, 1, 1),
+    "dense-k5-b256": (256, 4, 4, 5, 1, 1),
+    "dense-k3-ragged": (13, 4, 4, 3, 1, 1),
+    "dense-k5-ragged": (13, 4, 4, 5, 1, 1),
+    "depthwise-k3g8": (32, 8, 8, 3, 8, 1),
+    "grouped-k1g2": (32, 8, 8, 1, 2, 1),
+    "stem-k1-from-1": (32, 1, 4, 1, 1, 1),
+    "pointwise-8to8": (32, 8, 8, 1, 1, 1),
+    "grouped-k3g2-stride2": (5, 6, 4, 3, 2, 2),
+}
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+def test_conv2d_bit_identical_to_per_group_einsum(shape):
+    n, c, f, k, groups, stride = shape
+    rng = np.random.default_rng(sum(shape))
+    size = 9 if stride > 1 else 8
+    x = Tensor(rng.normal(size=(n, c, size, size)), requires_grad=True)
+    kernel = Tensor(rng.normal(size=(f, c // groups, k, k)), requires_grad=True)
+
+    tape = Tape()
+    out = tz.conv2d(x, kernel, stride=stride, padding=k // 2, groups=groups, tape=tape)
+    g = rng.normal(size=out.shape)
+    tape.backward(tz.sum_all(tz.mul(out, Tensor(g), tape), tape))
+
+    ref_out, ref_dx, ref_dk = _einsum_conv2d(x.data, kernel.data, stride, k // 2, groups, g)
+    # Layout matters too: reductions over a gradient (the clip norm, bias
+    # gradients) sum in memory order.
+    for arr in (out.data, x.grad, kernel.grad):
+        assert arr.flags.c_contiguous
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(x.grad, ref_dx)
+    assert np.array_equal(kernel.grad, ref_dk)
+
+
 # --- relu ---
 
 
@@ -291,6 +365,18 @@ def test_gradients_accumulate_across_shared_inputs():
     b = tz.add(a, x, tape)  # x^2 + x
     tape.backward(tz.sum_all(b, tape))
     assert np.allclose(x.grad, [7.0])  # 2x + 1 at x=3
+
+
+def test_first_gradient_write_is_a_fresh_c_ordered_array():
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    out = Tensor(np.array(1.0), requires_grad=True)
+    upstream = np.arange(6.0).reshape(3, 2).T  # a transposed view
+    tape = Tape()
+    tape.record((x,), out, lambda g, needs: (upstream,))
+    tape.backward(out)
+    assert np.array_equal(x.grad, upstream)
+    assert x.grad.flags.c_contiguous
+    assert not np.shares_memory(x.grad, upstream)
 
 
 def test_non_finite_raises_never_propagates():
