@@ -55,9 +55,6 @@ class Tensor:
             raise UsageError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def copy(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=self.requires_grad)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -269,6 +266,12 @@ def conv2d(
     `np.matmul` with the group as its batch axis. Its operand shapes and
     layouts are those `einsum(optimize=True)` gives a per-group contraction,
     so results match a per-group einsum bit for bit (tests pin this).
+
+    The input gradient's columns are ordered (Ho, Wo, N) and its padded
+    buffer is (C, Hp, Wp, N), so each k * k window add runs over rows of
+    Wo * N contiguous floats. No bit changes: the matmul's dot products are
+    the same, and each dx element still starts at +0.0 and takes the same
+    terms in the same (i, j) order. The tape copies the NCHW dx view to C order.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError(
@@ -292,16 +295,11 @@ def conv2d(
     w_out = _conv_out_size(w, k, stride, padding)
     f_per_group = f // groups
     m = n * h_out * w_out  # columns per group
-    padded = (n, c, h + 2 * padding, w + 2 * padding)
-    windows = [
-        (i, j, np.s_[:, :, i : i + (h_out - 1) * stride + 1 : stride,
-                     j : j + (w_out - 1) * stride + 1 : stride])
-        for i in range(k)
-        for j in range(k)
-    ]
+    hp, wp = h + 2 * padding, w + 2 * padding
+    h_span, w_span = (h_out - 1) * stride + 1, (w_out - 1) * stride + 1  # a window's extent
 
     if padding:
-        xp = np.zeros(padded, dtype=np.float64)
+        xp = np.zeros((n, c, hp, wp), dtype=np.float64)
         xp[:, :, padding : padding + h, padding : padding + w] = x.data
     else:
         xp = x.data
@@ -309,8 +307,9 @@ def conv2d(
     # C-contiguous (C/groups * k * k, N * Ho * Wo) matrix.
     cols = np.empty((c, k, k, n, h_out, w_out), dtype=np.float64)
     xp_cn = xp.transpose(1, 0, 2, 3)
-    for i, j, window in windows:
-        cols[:, i, j] = xp_cn[window]
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xp_cn[:, :, i : i + h_span : stride, j : j + w_span : stride]
     cols = cols.reshape(groups, c_per_group * k * k, m)
     kmat = kernel.data.reshape(groups, f_per_group, c_per_group * k * k)
 
@@ -319,23 +318,24 @@ def conv2d(
 
     if tape is not None:
         def backward(g, needs):
-            g_groups = g.reshape(n, groups, f_per_group, h_out * w_out)
+            g_groups = g.reshape(n, groups, f_per_group, h_out, w_out)
             dk = None
             if needs[1]:
                 # (G, N*Ho*Wo, F/G), C-contiguous
-                gt = np.ascontiguousarray(g_groups.transpose(1, 0, 3, 2))
+                gt = np.ascontiguousarray(g_groups.transpose(1, 0, 3, 4, 2))
                 dk = np.matmul(cols, gt.reshape(groups, m, f_per_group))
                 dk = dk.transpose(0, 2, 1).reshape(kernel.shape)
             dx = None
             if needs[0]:
-                # (G, F/G, N*Ho*Wo), C-contiguous
-                gm = np.ascontiguousarray(g_groups.transpose(1, 2, 0, 3))
+                # (G, F/G, Ho*Wo*N), C-contiguous: the batch innermost
+                gm = np.ascontiguousarray(g_groups.transpose(1, 2, 3, 4, 0))
                 dcols = np.matmul(kmat.transpose(0, 2, 1), gm.reshape(groups, f_per_group, m))
-                dcols = dcols.reshape(c, k, k, n, h_out, w_out).transpose(3, 0, 1, 2, 4, 5)
-                dxp = np.zeros(padded, dtype=np.float64)
-                for i, j, window in windows:
-                    dxp[window] += dcols[:, :, i, j]
-                dx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
+                dcols = dcols.reshape(c, k, k, h_out, w_out, n)
+                dxp = np.zeros((c, hp, wp, n), dtype=np.float64)
+                for i in range(k):
+                    for j in range(k):
+                        dxp[:, i : i + h_span : stride, j : j + w_span : stride] += dcols[:, i, j]
+                dx = dxp[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
             return dx, dk
 
         tape.record((x, kernel), out, backward)

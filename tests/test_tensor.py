@@ -178,30 +178,32 @@ def _einsum_conv2d(x, kernel, stride, padding, groups, g):
     return out, dxp[:, :, padding : padding + h, padding : padding + w], dk
 
 
-# (batch, in channels, out channels, kernel, groups, stride): the shapes the
-# search space runs, at training batch 32, evaluation batch 256 and a ragged
-# last batch.
+# (batch, in channels, out channels, kernel, groups, stride) and input
+# (height, width): the shapes the search space runs, at training batch 32,
+# evaluation batch 256 and a ragged last batch, plus a non-square input and a
+# single-sample depthwise batch.
 CONV_SHAPES = {
-    "dense-k3-b32": (32, 4, 4, 3, 1, 1),
-    "dense-k5-b32": (32, 4, 4, 5, 1, 1),
-    "dense-k3-b256": (256, 4, 4, 3, 1, 1),
-    "dense-k5-b256": (256, 4, 4, 5, 1, 1),
-    "dense-k3-ragged": (13, 4, 4, 3, 1, 1),
-    "dense-k5-ragged": (13, 4, 4, 5, 1, 1),
-    "depthwise-k3g8": (32, 8, 8, 3, 8, 1),
-    "grouped-k1g2": (32, 8, 8, 1, 2, 1),
-    "stem-k1-from-1": (32, 1, 4, 1, 1, 1),
-    "pointwise-8to8": (32, 8, 8, 1, 1, 1),
-    "grouped-k3g2-stride2": (5, 6, 4, 3, 2, 2),
+    "dense-k3-b32": ((32, 4, 4, 3, 1, 1), (8, 8)),
+    "dense-k5-b32": ((32, 4, 4, 5, 1, 1), (8, 8)),
+    "dense-k3-b256": ((256, 4, 4, 3, 1, 1), (8, 8)),
+    "dense-k5-b256": ((256, 4, 4, 5, 1, 1), (8, 8)),
+    "dense-k3-ragged": ((13, 4, 4, 3, 1, 1), (8, 8)),
+    "dense-k5-ragged": ((13, 4, 4, 5, 1, 1), (8, 8)),
+    "depthwise-k3g8": ((32, 8, 8, 3, 8, 1), (8, 8)),
+    "grouped-k1g2": ((32, 8, 8, 1, 2, 1), (8, 8)),
+    "stem-k1-from-1": ((32, 1, 4, 1, 1, 1), (8, 8)),
+    "pointwise-8to8": ((32, 8, 8, 1, 1, 1), (8, 8)),
+    "grouped-k3g2-stride2": ((5, 6, 4, 3, 2, 2), (9, 9)),
+    "dense-k5-nonsquare-8x6": ((32, 4, 4, 5, 1, 1), (8, 6)),
+    "depthwise-k3g8-b1": ((1, 8, 8, 3, 8, 1), (8, 8)),
 }
 
 
-@pytest.mark.parametrize("shape", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
-def test_conv2d_bit_identical_to_per_group_einsum(shape):
+@pytest.mark.parametrize("shape, hw", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+def test_conv2d_bit_identical_to_per_group_einsum(shape, hw):
     n, c, f, k, groups, stride = shape
     rng = np.random.default_rng(sum(shape))
-    size = 9 if stride > 1 else 8
-    x = Tensor(rng.normal(size=(n, c, size, size)), requires_grad=True)
+    x = Tensor(rng.normal(size=(n, c, *hw)), requires_grad=True)
     kernel = Tensor(rng.normal(size=(f, c // groups, k, k)), requires_grad=True)
 
     tape = Tape()
