@@ -55,4 +55,7 @@ pruned = prune_edges(net, alpha_threshold=0.0)
 print(f"pruned {pruned} candidates below threshold 0.0; "
       f"{net.cardinality()} architectures remain")
 child = derive_child(net)
-print("child:", " -> ".join(child.kinds), f"({child.num_params()} params)")
+n_params = sum(t.size for t in child.net.parameters())
+print("child:", " -> ".join(child.kinds), f"({n_params} params)")
+print(f"the child is a fixed-path supernet: fixed_path = {child.net.space.fixed_path}, "
+      f"{child.net.cardinality()} architecture")

@@ -8,9 +8,9 @@ candidate on both blocks.
 import numpy as np
 
 from dfnas.data import DataSpec, generate_synthetic
+from dfnas.federation import evaluate
 from dfnas.local_search import LocalSearchConfig, client_local_search
 from dfnas.supernet import SpaceConfig, build_supernet, derive_child, flatten_params, unflatten_params
-from dfnas.tensor import Tensor
 
 shard = generate_synthetic(
     DataSpec(kind="rings", n_samples=256, num_classes=2, noise=0.05, feature_dim=2),
@@ -42,6 +42,5 @@ for i, edge in enumerate(net.edges):
     print(f"  block {i}: alpha = {edge.alpha.round(3).tolist()} (identity, linear8)")
 
 child = derive_child(net)
-logits = child.forward(Tensor(shard.features))
-acc = (logits.data.argmax(axis=1) == shard.labels).mean()
+acc, _ = evaluate(child.net, shard)
 print(f"\nderived child: {' -> '.join(child.kinds)}; train accuracy {acc:.3f}")

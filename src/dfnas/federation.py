@@ -26,6 +26,7 @@ from .supernet import (
     ChildArchitecture,
     SpaceConfig,
     Supernet,
+    argmax_path,
     build_supernet,
     derive_child,
     flatten_params,
@@ -154,26 +155,21 @@ def aggregate(blobs: list[ParameterBlob], weights: list[float]) -> ParameterBlob
     return ParameterBlob(layout=blobs[0].layout, values=acc)
 
 
-def evaluate(
-    model: Supernet | ChildArchitecture, dataset: Dataset, batch_size: int = 256
-) -> tuple[float, float]:
-    """Accuracy and mean loss under the deterministic argmax path (no sampling)."""
+def evaluate(net: Supernet, dataset: Dataset, batch_size: int = 256) -> tuple[float, float]:
+    """Accuracy and mean loss along `argmax_path(net)` (no sampling).
+
+    A derived child is a fixed-path supernet, so this evaluates it the same way.
+    """
     if len(dataset) == 0:
         raise ConfigurationError("test set is empty")
-    if isinstance(model, Supernet):
-        selections = tuple(
-            int(np.argmax(np.where(e.pruned, -np.inf, e.alpha))) for e in model.edges
-        )
-        run = lambda feats: forward_logits(model, selections, feats)  # noqa: E731
-    else:
-        run = model.forward
+    selections = argmax_path(net)
     correct = 0
     loss_sum = 0.0
     n = len(dataset)
     for start in range(0, n, batch_size):
         feats = Tensor(dataset.features[start : start + batch_size])
         labels = dataset.labels[start : start + batch_size]
-        logits = run(feats)
+        logits = forward_logits(net, selections, feats)
         correct += int((logits.data.argmax(axis=1) == labels).sum())
         loss_sum += tz.softmax_cross_entropy(logits, labels).item() * len(labels)
     return correct / n, loss_sum / n

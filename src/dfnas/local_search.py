@@ -64,7 +64,6 @@ class LocalSearchConfig:
 @dataclass
 class LocalSearchReport:
     blob: ParameterBlob
-    sample_count: int
     epoch_losses: list[float]
     candidate_executions: int
     batches: int
@@ -131,7 +130,6 @@ def client_local_search(
 
     return LocalSearchReport(
         blob=flatten_params(net, include_alpha=search_mode),
-        sample_count=n,
         epoch_losses=epoch_losses,
         candidate_executions=net.counters.candidate_executions,
         batches=total_batches,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,58 +150,27 @@ class LinearReLU(CandidateOp):
         return tz.relu(tz.bias_add(tz.matmul(x, self.weight, tape), self.bias, tape), tape)
 
 
+# Image tokens: identity, conv{k}, sep{k}, shuffle{k}g{groups}, k in VALID_KERNELS.
+# Vector tokens: identity, linear{width}. `SpaceConfig.problems()` states the rules.
+# Numbers are positive and have no leading zeros, so each token is its op's kind.
 _TOKEN_RE = re.compile(
-    r"^(identity|conv(?P<ck>\d+)|sep(?P<sk>\d+)|shuffle(?P<hk>\d+)g(?P<hg>\d+)|linear(?P<lw>\d+))$"
+    r"identity|conv(?P<ck>[1-9]\d*)|sep(?P<sk>[1-9]\d*)|linear(?P<lw>[1-9]\d*)"
+    r"|shuffle(?P<hk>[1-9]\d*)g(?P<hg>[1-9]\d*)"
 )
 
 
-def make_candidate(
-    token: str, *, channels: int, width: int, rng: np.random.Generator
-) -> CandidateOp:
-    """Build one candidate op from its textual token.
-
-    Image tokens: identity, conv{3,5,7}, sep{3,5,7}, shuffle{k}g{groups}.
-    Vector tokens: identity, linear{width}.
-    """
-    m = _TOKEN_RE.match(token.strip().lower())
-    if m is None:
-        raise ConfigurationError(f"unknown candidate token {token!r}")
-    if token == "identity":
-        return Identity()
-    if m.group("ck"):
-        k = int(m.group("ck"))
-        if k not in VALID_KERNELS:
-            raise ConfigurationError(f"conv kernel must be one of {VALID_KERNELS}, got {k}")
-        return Conv(channels, k, rng)
-    if m.group("sk"):
-        k = int(m.group("sk"))
-        if k not in VALID_KERNELS:
-            raise ConfigurationError(f"sep kernel must be one of {VALID_KERNELS}, got {k}")
-        return SeparableConv(channels, k, rng)
-    if m.group("hk"):
-        k = int(m.group("hk"))
-        groups = int(m.group("hg"))
-        if k not in VALID_KERNELS:
-            raise ConfigurationError(f"shuffle kernel must be one of {VALID_KERNELS}, got {k}")
-        if groups < 1 or channels % groups != 0:
-            raise ConfigurationError(
-                f"shuffle groups {groups} must divide channel count {channels}"
-            )
-        return GroupedShuffleConv(channels, k, groups, rng)
-    return LinearReLU(int(m.group("lw")), rng)
-
-
-_IMAGE_TOKENS = ("conv", "sep", "shuffle")
-
-
-def _token_rank(token: str) -> int:
-    """3 for image-only tokens, 1 for vector-only, 0 for either."""
-    t = token.strip().lower()
-    if t.startswith(_IMAGE_TOKENS):
-        return 3
-    if t.startswith("linear"):
-        return 1
-    return 0
+def make_candidate(token: str, *, channels: int, rng: np.random.Generator) -> CandidateOp:
+    """Build one candidate op from a token that `SpaceConfig.problems()` accepts."""
+    m = _TOKEN_RE.fullmatch(token)
+    if m["ck"]:
+        return Conv(channels, int(m["ck"]), rng)
+    if m["sk"]:
+        return SeparableConv(channels, int(m["sk"]), rng)
+    if m["hk"]:
+        return GroupedShuffleConv(channels, int(m["hk"]), int(m["hg"]), rng)
+    if m["lw"]:
+        return LinearReLU(int(m["lw"]), rng)
+    return Identity()
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +256,10 @@ class SpaceConfig:
             found.append(("candidates", "must list at least one candidate"))
         if self.num_classes < 2:
             found.append(("num_classes", f"must be >= 2, got {self.num_classes}"))
+        if self.channels < 1:
+            found.append(("channels", f"must be >= 1, got {self.channels}"))
+        if self.hidden_width < 1:
+            found.append(("hidden_width", f"must be >= 1, got {self.hidden_width}"))
         if len(self.input_shape) not in (1, 3):
             found.append(("input_shape", f"must be (D,) or (C, H, W), got {self.input_shape}"))
         if self.fixed_path is not None:
@@ -297,6 +270,25 @@ class SpaceConfig:
             bad = [i for i in self.fixed_path if not 0 <= i < len(self.candidates)]
             if bad:
                 found.append(("fixed_path", f"indices out of range: {bad}"))
+        image = len(self.input_shape) == 3
+        for token in self.candidates:
+            m = _TOKEN_RE.fullmatch(token)
+            if m is None:
+                found.append(("candidates", f"has unknown token {token!r}"))
+                continue
+            kernel = m["ck"] or m["sk"] or m["hk"]  # None unless an image token
+            why = []
+            if kernel and not image:
+                why.append(f"needs (C, H, W) inputs, got {self.input_shape}")
+            if kernel and int(kernel) not in VALID_KERNELS:
+                why.append(f"has kernel {kernel}, must be one of {VALID_KERNELS}")
+            if m["hg"] and self.channels % int(m["hg"]):
+                why.append(f"has {m['hg']} groups, not a divisor of channels {self.channels}")
+            if m["lw"] and image:
+                why.append(f"needs (D,) inputs, got {self.input_shape}")
+            if m["lw"] and int(m["lw"]) != self.hidden_width:
+                why.append(f"must keep hidden_width {self.hidden_width}")
+            found.extend(("candidates", f"token {token!r} {w}") for w in why)
         return found
 
 
@@ -332,7 +324,6 @@ class PathSample:
     """One sampled subnetwork: a selected candidate per block."""
 
     selections: tuple[int, ...]
-    log_prob: float
     mask_scalars: list[Tensor]
 
 
@@ -379,30 +370,6 @@ class Supernet:
         return [t for _, t in self.weight_items()]
 
 
-def _check_candidate_fits(
-    token: str, edge_index: int, space: SpaceConfig
-) -> None:
-    rank = _token_rank(token)
-    feature_rank = len(space.input_shape)
-    if rank == 3 and feature_rank != 3:
-        raise ConfigurationError(
-            f"edge {edge_index}: candidate {token!r} needs image features, "
-            f"space input shape is {space.input_shape}"
-        )
-    if rank == 1 and feature_rank != 1:
-        raise ConfigurationError(
-            f"edge {edge_index}: candidate {token!r} needs vector features, "
-            f"space input shape is {space.input_shape}"
-        )
-    if token.lower().startswith("linear"):
-        width = int(token.lower().removeprefix("linear"))
-        if width != space.hidden_width:
-            raise ConfigurationError(
-                f"edge {edge_index}: candidate {token!r} does not preserve the "
-                f"working width {space.hidden_width}"
-            )
-
-
 def build_supernet(space: SpaceConfig) -> Supernet:
     """Deterministically construct and initialize a supernet from its config.
 
@@ -426,15 +393,9 @@ def build_supernet(space: SpaceConfig) -> Supernet:
             tokens = [space.candidates[space.fixed_path[i]]]
         else:
             tokens = list(space.candidates)
-        ops = []
-        for token in tokens:
-            _check_candidate_fits(token, i, space)
-            ops.append(
-                make_candidate(
-                    token, channels=space.channels, width=space.hidden_width, rng=rng
-                )
-            )
-        edges.append(ChoiceEdge(ops))
+        edges.append(ChoiceEdge([
+            make_candidate(token, channels=space.channels, rng=rng) for token in tokens
+        ]))
 
     head = LinearHead(feature_count, space.num_classes, rng)
     return Supernet(space, stem, edges, head)
@@ -451,7 +412,6 @@ def sample_path(net: Supernet, rng: np.random.Generator) -> PathSample:
     consume no randomness, so degenerate spaces reduce to plain training.
     """
     selections = []
-    log_prob = 0.0
     masks = []
     for edge in net.edges:
         alive = edge.unpruned_indices()
@@ -464,10 +424,9 @@ def sample_path(net: Supernet, rng: np.random.Generator) -> PathSample:
             # them; clamp covers u falling past a cdf that rounds below 1.
             idx = int(np.searchsorted(cdf, rng.random(), side="right"))
             idx = min(idx, int(alive[-1]))
-            log_prob += float(np.log(probs[idx]))
         selections.append(idx)
         masks.append(Tensor(np.array(1.0), requires_grad=True))
-    return PathSample(selections=tuple(selections), log_prob=log_prob, mask_scalars=masks)
+    return PathSample(selections=tuple(selections), mask_scalars=masks)
 
 
 def forward_path(
@@ -548,66 +507,60 @@ def prune_edges(net: Supernet, alpha_threshold: float) -> int:
 # child derivation
 
 
+def argmax_path(net: Supernet) -> tuple[int, ...]:
+    """The unpruned argmax-alpha candidate of each block (ties: lowest index)."""
+    return tuple(int(np.argmax(np.where(e.pruned, -np.inf, e.alpha))) for e in net.edges)
+
+
 @dataclass
 class ChildArchitecture:
-    """A deployable network: argmax candidate per block with frozen weights."""
+    """A deployable network: the argmax candidate per block with frozen weights.
 
-    stem: object
-    ops: list[CandidateOp]
-    head: LinearHead
+    `net` is a fixed-path supernet, one candidate per block; `selections` are
+    the candidates' indices on the blocks of the supernet it was derived from.
+    """
+
     selections: tuple[int, ...]
-    kinds: tuple[str, ...]
-    input_shape: tuple[int, ...]
-    num_classes: int
+    net: Supernet
 
-    def forward(self, features: Tensor) -> Tensor:
-        x = self.stem.forward(features, None)
-        for op in self.ops:
-            x = op.forward(x, None)
-        return self.head.forward(x, None)
-
-    def num_params(self) -> int:
-        total = sum(t.size for _, t in self.stem.tensors())
-        total += sum(t.size for op in self.ops for _, t in op.tensors())
-        total += sum(t.size for _, t in self.head.tensors())
-        return total
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        return tuple(edge.candidates[0].kind for edge in self.net.edges)
 
     def describe(self) -> str:
+        net = self.net
         lines = [
             "child-architecture v1",
-            f"input_shape = {'x'.join(str(d) for d in self.input_shape)}",
-            f"num_classes = {self.num_classes}",
-            f"blocks = {len(self.ops)}",
-            f"params = {self.num_params()}",
+            f"input_shape = {'x'.join(str(d) for d in net.input_shape)}",
+            f"num_classes = {net.num_classes}",
+            f"blocks = {len(net.edges)}",
+            f"params = {sum(t.size for t in net.parameters())}",
         ]
-        for i, (idx, kind, op) in enumerate(zip(self.selections, self.kinds, self.ops)):
+        for i, (idx, edge) in enumerate(zip(self.selections, net.edges)):
+            (op,) = edge.candidates
             n_params = sum(t.size for _, t in op.tensors())
-            lines.append(f"block {i}: candidate {idx} ({kind}, {n_params} params)")
+            lines.append(f"block {i}: candidate {idx} ({op.kind}, {n_params} params)")
         return "\n".join(lines) + "\n"
 
 
 def derive_child(net: Supernet) -> ChildArchitecture:
-    """Pick the unpruned argmax-alpha candidate per block (ties: lowest index).
+    """The argmax path (`argmax_path`) as a fixed-path supernet with copied weights.
 
-    Weights are copied, so the child is unaffected by further supernet
-    training and needs no retraining itself.
+    The child's space is the net's with `fixed_path` set to that path, so its
+    weights-only blob is exactly the one baseline mode exchanges for the path.
+    Stem, selected candidates and head are deep copies: the child is unaffected
+    by further supernet training and needs no retraining itself.
     """
-    selections = []
-    for edge in net.edges:
-        masked = np.where(edge.pruned, -np.inf, edge.alpha)
-        selections.append(int(np.argmax(masked)))
-    ops = [
-        copy.deepcopy(edge.candidates[idx]) for edge, idx in zip(net.edges, selections)
-    ]
-    return ChildArchitecture(
-        stem=copy.deepcopy(net.stem),
-        ops=ops,
-        head=copy.deepcopy(net.head),
-        selections=tuple(selections),
-        kinds=tuple(op.kind for op in ops),
-        input_shape=net.input_shape,
-        num_classes=net.num_classes,
+    selections = argmax_path(net)
+    # a fixed-path net has one candidate per block; its path is already set
+    path = selections if net.space.fixed_path is None else net.space.fixed_path
+    child = Supernet(
+        replace(net.space, fixed_path=path),
+        copy.deepcopy(net.stem),
+        [ChoiceEdge([copy.deepcopy(e.candidates[i])]) for e, i in zip(net.edges, selections)],
+        copy.deepcopy(net.head),
     )
+    return ChildArchitecture(selections, child)
 
 
 # ---------------------------------------------------------------------------

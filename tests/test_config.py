@@ -23,6 +23,7 @@ data.kind = blobs
 data.classes = 2
 data.feature_dim = 4
 space.candidates = linear8,identity
+space.hidden_width = 8
 space.blocks = 2
 """
 
@@ -99,12 +100,35 @@ def test_round_trip_parse_serialize_parse():
 def test_round_trip_preserves_infinity_and_none():
     config = ExperimentConfig(
         data_kind="blobs", data_classes=2, data_feature_dim=4,
-        space_candidates=("linear8",), space_blocks=1,
+        space_candidates=("linear8",), space_hidden_width=8, space_blocks=1,
     )
     again = parse_config_text(serialize_config(config))
     assert again.federation_server_alpha_threshold == float("-inf")
     assert again.local_clip_norm is None
     assert again.space_fixed_path is None
+
+
+@pytest.mark.parametrize("settings, token", [
+    ("space.candidates = conv3,IDENTITY", "IDENTITY"),
+    ("space.candidates = conv4", "conv4"),
+    ("space.candidates = shuffle3g3\nspace.channels = 8", "shuffle3g3"),
+    ("space.candidates = linear16", "linear16"),
+    ("data.kind = blobs\nspace.candidates = sep3", "sep3"),
+    ("space.candidates = conv03", "conv03"),
+])
+def test_bad_candidate_token_is_reported_at_parse_time(settings, token):
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config_text(settings + "\n")
+    msg = str(exc.value)
+    assert "space.candidates" in msg
+    assert repr(token) in msg
+
+
+@pytest.mark.parametrize("key", ["space.channels", "space.hidden_width"])
+def test_space_widths_must_be_positive(key):
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config_text(f"space.candidates = identity\n{key} = 0\n")
+    assert f"{key} must be >= 1" in str(exc.value)
 
 
 def test_readme_config_block_lists_the_defaults():

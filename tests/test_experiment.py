@@ -270,6 +270,15 @@ def test_cli_config_error_exit_code_2(tmp_path, capsys):
     assert main(["run", str(missing_fixed), "--mode", "baseline"]) == 2
 
 
+def test_cli_rejects_bad_candidate_token_before_writing(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    conf = tmp_path / "bad.conf"
+    conf.write_text(f"output_dir = {out_dir}\nspace.candidates = conv3,IDENTITY\n")
+    assert main(["run", str(conf)]) == 2
+    assert "space.candidates" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_runtime_error_exit_code_3(tmp_path, capsys):
     # a divergent learning rate blows up numerically inside a client round
     config = small_config(tmp_path, local_lr_w=1e18, local_momentum_w=0.0)

@@ -3,6 +3,8 @@ degenerate-federation identity."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,9 @@ from dfnas.supernet import (
     SpaceConfig,
     build_supernet,
     derive_child,
+    expected_layout,
     flatten_params,
+    unflatten_params,
 )
 
 
@@ -171,9 +175,32 @@ def test_child_evaluation_matches_argmax_supernet():
         edge.alpha[:] = rng.normal(size=2)
     data = blob_data(n=64, seed=2)
     acc_net, loss_net = evaluate(net, data)
-    acc_child, loss_child = evaluate(derive_child(net), data)
+    acc_child, loss_child = evaluate(derive_child(net).net, data)
     assert acc_net == acc_child
     assert abs(loss_net - loss_child) < 1e-12
+
+
+def test_child_is_the_fixed_path_supernet_of_its_selections():
+    space = SpaceConfig(
+        blocks=3, candidates=("conv3", "sep3", "identity"), input_shape=(1, 6, 6),
+        num_classes=3, channels=4, init_seed=2,
+    )
+    net = build_supernet(space)
+    for edge, best in zip(net.edges, (1, 2, 0)):
+        edge.alpha[best] = 1.0
+    child = derive_child(net)
+    assert child.selections == (1, 2, 0)
+    baseline = build_supernet(replace(space, fixed_path=child.selections))
+    layout = expected_layout(baseline, include_alpha=False)
+    assert expected_layout(child.net, include_alpha=False) == layout
+    unflatten_params(baseline, flatten_params(child.net, include_alpha=False))
+    data = generate_synthetic(
+        DataSpec(kind="patches", n_samples=40, num_classes=3, image_size=6),
+        np.random.default_rng(3),
+    )
+    assert evaluate(child.net, data) == evaluate(baseline, data)
+    # a fixed-path net's child keeps its path
+    assert derive_child(baseline).net.space == baseline.space
 
 
 def test_accuracy_matches_hand_confusion_tally():

@@ -1,11 +1,12 @@
 """Golden-bytes manifest: the output bytes of small runs, pinned across commits.
 
 `golden.json` holds the sha256 of `metrics.csv`, `child.txt` and the final
-blob of each config below, with the `NUMERICS_VERSION`, NumPy version and BLAS
-they were recorded under. A change that is not meant to alter numerics must
-leave every digest as it is. A change that is meant to alter them regenerates
-the manifest and says so; if it changes the bits of a ranked path, it also
-bumps `NUMERICS_VERSION`. Regenerate with
+blob of each config below, and of a short exhaustive fixed-path ranking, with
+the `NUMERICS_VERSION`, NumPy version and BLAS they were recorded under. A
+change that is not meant to alter numerics must leave every digest as it is.
+A change that is meant to alter them regenerates the manifest and says so; if
+it changes the bits of a ranked path, it also bumps `NUMERICS_VERSION`.
+Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -24,7 +25,12 @@ import numpy as np
 import pytest
 
 from dfnas.config import ExperimentConfig, serialize_config, validate_config
-from dfnas.experiment import NUMERICS_VERSION, run_experiment
+from dfnas.experiment import (
+    NUMERICS_VERSION,
+    build_datasets,
+    rank_fixed_paths,
+    run_experiment,
+)
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -57,6 +63,9 @@ CONFIGS = {
 
 FILES = ("metrics.csv", "child.txt", "final.blob")
 
+# `rank_fixed_paths` over the 3**2 paths of _SMALL, one epoch each, cache off.
+RANKING = _SMALL
+
 
 def environment() -> dict[str, str]:
     try:
@@ -83,6 +92,17 @@ def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     }
 
 
+def ranking_digests() -> dict[str, str]:
+    """sha256 of the config and of the ranking's paths, accuracies and losses."""
+    train, test = build_datasets(RANKING)
+    ranks = rank_fixed_paths(RANKING, train, test, epochs=1)
+    table = json.dumps([[list(r.path), r.test_acc, r.final_loss] for r in ranks])
+    return {
+        "config": _sha256(serialize_config(RANKING).encode()),
+        "ranks": _sha256(table.encode()),
+    }
+
+
 def _manifest() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -98,15 +118,12 @@ def test_manifest_covers_every_config():
         assert validate_config(config) == [], name
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_output_bytes_match_golden_manifest(name, tmp_path):
+def _check_digests(name: str, got: dict, want: dict, files) -> None:
     manifest = _manifest()
-    want = manifest["runs"][name]
-    got = run_digests(name, tmp_path)
     assert got["config"] == want["config"], (
         f"{name}: the config changed since golden.json was written; regenerate it"
     )
-    changed = [f for f in FILES if got[f] != want[f]]
+    changed = [f for f in files if got[f] != want[f]]
     if not changed:
         return
     here = environment()
@@ -123,11 +140,21 @@ def test_output_bytes_match_golden_manifest(name, tmp_path):
     )
 
 
+@pytest.mark.parametrize("name", CONFIGS)
+def test_output_bytes_match_golden_manifest(name, tmp_path):
+    _check_digests(name, run_digests(name, tmp_path), _manifest()["runs"][name], FILES)
+
+
+def test_fixed_path_ranking_matches_golden_manifest():
+    _check_digests("ranking", ranking_digests(), _manifest()["ranking"], ("ranks",))
+
+
 def write_manifest(scratch: Path) -> dict:
     manifest = {
         "numerics_version": NUMERICS_VERSION,
         "environment": environment(),
         "runs": {name: run_digests(name, scratch / name) for name in CONFIGS},
+        "ranking": ranking_digests(),
     }
     GOLDEN.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return manifest
