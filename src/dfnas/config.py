@@ -172,7 +172,6 @@ def federation_config(config: ExperimentConfig) -> FederationConfig:
         client_pool=config.federation_client_pool,
         clients_per_round=config.federation_clients_per_round,
         weighting=config.federation_weighting,
-        mode=config.mode,
         server_alpha_threshold=config.federation_server_alpha_threshold,
         workers=config.federation_workers,
         master_seed=config.master_seed,
@@ -219,6 +218,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         )
     if config.partition_resplit_each_round and config.partition_kind != "iid":
         problems.append("partition.resplit_each_round is only available for iid partitions")
+    if config.mode not in ("dfnas", "baseline"):
+        problems.append(f"mode must be dfnas or baseline, got {config.mode!r}")
     if config.mode == "baseline" and config.space_fixed_path is None:
         problems.append("baseline mode requires space.fixed_path")
     return list(dict.fromkeys(problems))  # the data specs and the space share rules

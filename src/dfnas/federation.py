@@ -38,7 +38,6 @@ from .tensor import Tensor
 from . import tensor as tz
 
 WEIGHTING_MODES = ("uniform", "proportional")
-SEARCH_MODES = ("dfnas", "baseline")
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class FederationConfig:
     client_pool: int
     clients_per_round: int
     weighting: str = "proportional"
-    mode: str = "dfnas"
     server_alpha_threshold: float = float("-inf")
     workers: int = 1
     master_seed: int = 0
@@ -69,8 +67,6 @@ class FederationConfig:
                 "weighting",
                 f"must be {' or '.join(WEIGHTING_MODES)}, got {self.weighting!r}",
             ))
-        if self.mode not in SEARCH_MODES:
-            found.append(("mode", f"must be {' or '.join(SEARCH_MODES)}, got {self.mode!r}"))
         if self.workers < 1:
             found.append(("workers", f"must be >= 1, got {self.workers}"))
         return found
@@ -265,8 +261,8 @@ def run_federated_search(
 ) -> FederationResult:
     """Full search: T rounds then child derivation from the aggregated net.
 
-    In baseline mode the architecture is fixed at configuration time (single
-    candidate per block) and only weights are exchanged.
+    A space with a `fixed_path` (baseline mode) has one candidate per block,
+    and only weights are exchanged.
     """
     fed.validate()
     local.validate()
@@ -275,11 +271,6 @@ def run_federated_search(
             f"partition has {partition.num_clients} clients, pool is {fed.client_pool}"
         )
     net = build_supernet(space)
-    if fed.mode == "baseline" and net.cardinality() != 1:
-        raise ConfigurationError(
-            "baseline mode needs a fixed architecture (one candidate per block); "
-            "set fixed_path on the space config"
-        )
 
     shards = [train.subset(ix, access_log) for ix in partition.client_indices]
     state = FederationState(
@@ -289,7 +280,7 @@ def run_federated_search(
         shards=shards,
         test_set=test,
         net=net,
-        global_blob=flatten_params(net, include_alpha=fed.mode == "dfnas"),
+        global_blob=flatten_params(net, include_alpha=space.fixed_path is None),
     )
 
     history: list[RoundRecord] = []

@@ -115,7 +115,7 @@ def client_local_search(
                     for p in net.parameters():
                         if p.grad is not None:
                             p.grad *= factor
-            optimizer.step(strict=False)  # only the sampled path has gradients
+            optimizer.step()  # only the sampled path has gradients
 
             if search_mode:
                 for edge, selected, mask in zip(

@@ -44,16 +44,21 @@ def _zeros(shape: tuple[int, ...]) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-class CandidateOp:
-    """One interchangeable operation on a choice block."""
-
-    kind: str = ""
+class Layer:
+    """A network piece whose parameters are its `Tensor` attributes."""
 
     def tensors(self) -> list[tuple[str, Tensor]]:
-        return []
+        """(name, tensor) in assignment order, which is the order of the rng draws."""
+        return [(name, v) for name, v in vars(self).items() if isinstance(v, Tensor)]
 
     def forward(self, x: Tensor, tape: Tape | None) -> Tensor:
         raise NotImplementedError
+
+
+class CandidateOp(Layer):
+    """One interchangeable operation on a choice block."""
+
+    kind: str = ""
 
 
 class Identity(CandidateOp):
@@ -72,9 +77,6 @@ class Conv(CandidateOp):
         self.weight = _he_init(rng, (channels, channels, k, k), channels * k * k)
         self.bias = _zeros((channels,))
 
-    def tensors(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
     def forward(self, x, tape):
         out = tz.conv2d(x, self.weight, stride=1, padding=self.k // 2, tape=tape)
         return tz.relu(tz.bias_add(out, self.bias, tape), tape)
@@ -90,13 +92,6 @@ class SeparableConv(CandidateOp):
         self.pointwise = _he_init(rng, (channels, channels, 1, 1), channels)
         self.bias = _zeros((channels,))
         self.channels = channels
-
-    def tensors(self):
-        return [
-            ("depthwise", self.depthwise),
-            ("pointwise", self.pointwise),
-            ("bias", self.bias),
-        ]
 
     def forward(self, x, tape):
         out = tz.conv2d(x, self.depthwise, 1, self.k // 2, groups=self.channels, tape=tape)
@@ -118,14 +113,6 @@ class GroupedShuffleConv(CandidateOp):
         self.expand = _he_init(rng, (channels, per_group, 1, 1), per_group)
         self.bias = _zeros((channels,))
 
-    def tensors(self):
-        return [
-            ("reduce", self.reduce),
-            ("depthwise", self.depthwise),
-            ("expand", self.expand),
-            ("bias", self.bias),
-        ]
-
     def forward(self, x, tape):
         out = tz.conv2d(x, self.reduce, 1, 0, groups=self.groups, tape=tape)
         out = tz.channel_shuffle(out, self.groups, tape)
@@ -142,9 +129,6 @@ class LinearReLU(CandidateOp):
         self.width = width
         self.weight = _he_init(rng, (width, width), width)
         self.bias = _zeros((width,))
-
-    def tensors(self):
-        return [("weight", self.weight), ("bias", self.bias)]
 
     def forward(self, x, tape):
         return tz.relu(tz.bias_add(tz.matmul(x, self.weight, tape), self.bias, tape), tape)
@@ -177,43 +161,23 @@ def make_candidate(token: str, *, channels: int, rng: np.random.Generator) -> Ca
 # stem and head
 
 
-class PointwiseStem:
+class PointwiseStem(Layer):
     """Affine 1x1 channel lift for image inputs (no spatial extent)."""
 
     def __init__(self, in_channels: int, channels: int, rng: np.random.Generator):
         self.weight = _he_init(rng, (channels, in_channels, 1, 1), in_channels)
         self.bias = _zeros((channels,))
 
-    def tensors(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
     def forward(self, x, tape):
         return tz.bias_add(tz.conv2d(x, self.weight, 1, 0, tape=tape), self.bias, tape)
 
 
-class DenseStem:
-    """Affine projection for vector inputs."""
+class Affine(Layer):
+    """Flatten if 4-d, then x @ W + b: the vector stem and the classifier head."""
 
-    def __init__(self, in_dim: int, width: int, rng: np.random.Generator):
-        self.weight = _he_init(rng, (in_dim, width), in_dim)
-        self.bias = _zeros((width,))
-
-    def tensors(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def forward(self, x, tape):
-        return tz.bias_add(tz.matmul(x, self.weight, tape), self.bias, tape)
-
-
-class LinearHead:
-    """Flatten then affine map to class logits."""
-
-    def __init__(self, in_features: int, num_classes: int, rng: np.random.Generator):
-        self.weight = _he_init(rng, (in_features, num_classes), in_features)
-        self.bias = _zeros((num_classes,))
-
-    def tensors(self):
-        return [("weight", self.weight), ("bias", self.bias)]
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+        self.weight = _he_init(rng, (in_features, out_features), in_features)
+        self.bias = _zeros((out_features,))
 
     def forward(self, x, tape):
         flat = tz.flatten_batch(x, tape) if x.data.ndim != 2 else x
@@ -331,9 +295,9 @@ class Supernet:
     def __init__(
         self,
         space: SpaceConfig,
-        stem,
+        stem: Layer,
         edges: list[ChoiceEdge],
-        head: LinearHead,
+        head: Affine,
     ):
         self.space = space
         self.stem = stem
@@ -384,7 +348,7 @@ def build_supernet(space: SpaceConfig) -> Supernet:
         stem = PointwiseStem(in_channels, space.channels, rng)
         feature_count = space.channels * h * w
     else:
-        stem = DenseStem(space.input_shape[0], space.hidden_width, rng)
+        stem = Affine(space.input_shape[0], space.hidden_width, rng)
         feature_count = space.hidden_width
 
     edges = []
@@ -397,7 +361,7 @@ def build_supernet(space: SpaceConfig) -> Supernet:
             make_candidate(token, channels=space.channels, rng=rng) for token in tokens
         ]))
 
-    head = LinearHead(feature_count, space.num_classes, rng)
+    head = Affine(feature_count, space.num_classes, rng)
     return Supernet(space, stem, edges, head)
 
 
@@ -517,7 +481,7 @@ class ChildArchitecture:
     """A deployable network: the argmax candidate per block with frozen weights.
 
     `net` is a fixed-path supernet, one candidate per block; `selections` are
-    the candidates' indices on the blocks of the supernet it was derived from.
+    its path, the candidates' indices in `space.candidates`.
     """
 
     selections: tuple[int, ...]
@@ -544,20 +508,19 @@ class ChildArchitecture:
 
 
 def derive_child(net: Supernet) -> ChildArchitecture:
-    """The argmax path (`argmax_path`) as a fixed-path supernet with copied weights.
+    """The argmax path as a fixed-path supernet with copied weights.
 
-    The child's space is the net's with `fixed_path` set to that path, so its
-    weights-only blob is exactly the one baseline mode exchanges for the path.
-    Stem, selected candidates and head are deep copies: the child is unaffected
-    by further supernet training and needs no retraining itself.
+    The child's path is the net's `fixed_path`, or else `argmax_path(net)`, so
+    its weights-only blob is exactly the one baseline mode exchanges for the
+    path. Stem, selected candidates and head are deep copies: the child is
+    unaffected by further supernet training and needs no retraining itself.
     """
-    selections = argmax_path(net)
-    # a fixed-path net has one candidate per block; its path is already set
-    path = selections if net.space.fixed_path is None else net.space.fixed_path
+    built = argmax_path(net)  # indices on the built edges
+    selections = net.space.fixed_path or built
     child = Supernet(
-        replace(net.space, fixed_path=path),
+        replace(net.space, fixed_path=selections),
         copy.deepcopy(net.stem),
-        [ChoiceEdge([copy.deepcopy(e.candidates[i])]) for e, i in zip(net.edges, selections)],
+        [ChoiceEdge([copy.deepcopy(e.candidates[i])]) for e, i in zip(net.edges, built)],
         copy.deepcopy(net.head),
     )
     return ChildArchitecture(selections, child)

@@ -91,9 +91,6 @@ class Tape:
         self._records.append((inputs, output, backward))
         self._produced.add(id(output))
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     @property
     def live_tensors(self) -> int:
         """Number of distinct tensors held live by this tape."""
@@ -429,9 +426,8 @@ def softmax_cross_entropy(
 class SGD:
     """SGD with optional momentum over a fixed set of parameters.
 
-    step() requires every parameter to carry a gradient, applies
-    v <- momentum * v + grad, param <- param - lr * v, then clears the grads.
-    With strict=False, parameters without a gradient are skipped and their
+    step() applies v <- momentum * v + grad, param <- param - lr * v, then
+    clears the grads. Parameters without a gradient are skipped and their
     velocity left untouched (single-path training only visits the sampled
     candidates each batch).
     """
@@ -446,11 +442,7 @@ class SGD:
         self.momentum = float(momentum)
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, strict: bool = True) -> None:
-        if strict:
-            for p in self.params:
-                if p.grad is None:
-                    raise UsageError("sgd step: parameter is missing its gradient")
+    def step(self) -> None:
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue

@@ -53,6 +53,7 @@ def test_all_violations_reported_not_just_first():
             "federation.client_pool = 4",
             "local.epochs = 0",
             "data.noise = -2.0",
+            "mode = foo",
         ]
     )
     with pytest.raises(ConfigurationError) as exc:
@@ -61,6 +62,7 @@ def test_all_violations_reported_not_just_first():
     assert "clients_per_round" in msg
     assert "local.epochs" in msg
     assert "data.noise" in msg
+    assert "mode must be dfnas or baseline, got 'foo'" in msg
 
 
 def test_bad_value_and_duplicate_and_syntax():

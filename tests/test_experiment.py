@@ -108,6 +108,22 @@ def test_baseline_mode_reproduces_plain_fedavg(tmp_path):
     assert art_b.result.child.kinds == art_d.result.child.kinds
 
 
+def test_baseline_child_numbers_candidates_in_the_space(tmp_path):
+    config = small_config(
+        tmp_path,
+        mode="baseline",
+        data_kind="patches",
+        space_candidates=("conv3", "conv5", "identity"),
+        space_fixed_path=(1, 0),
+        space_channels=4,
+        federation_rounds=1,
+    )
+    art = run_experiment(config, quiet=True)
+    text = art.child_path.read_text()
+    assert "block 0: candidate 1 (conv5" in text
+    assert "block 1: candidate 0 (conv3" in text
+
+
 def test_resplit_each_round_changes_shards(tmp_path):
     config = small_config(
         tmp_path, partition_kind="iid", partition_resplit_each_round=True

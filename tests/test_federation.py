@@ -222,7 +222,7 @@ def test_accuracy_matches_hand_confusion_tally():
 
 
 def small_run(
-    pool=2, k=2, rounds=2, mode="dfnas", weighting="proportional", seed=0,
+    pool=2, k=2, rounds=2, weighting="proportional", seed=0,
     epochs=1, momentum=0.9, callback=None, space=None, workers=1,
 ):
     train = blob_data(n=80, seed=11)
@@ -231,7 +231,7 @@ def small_run(
     partition = iid_split(train, pool, stream(seed, "partition"))
     fed = FederationConfig(
         rounds=rounds, client_pool=pool, clients_per_round=k, weighting=weighting,
-        mode=mode, master_seed=seed, workers=workers,
+        master_seed=seed, workers=workers,
     )
     local = LocalSearchConfig(
         epochs=epochs, batch_size=16, lr_w=0.05, lr_alpha=0.01, momentum_w=momentum
@@ -290,16 +290,11 @@ def test_equal_shards_make_weighting_modes_identical():
     assert np.abs(a.final_blob.values - b.final_blob.values).max() < 1e-12
 
 
-def test_baseline_mode_requires_fixed_architecture():
-    with pytest.raises(ConfigurationError):
-        small_run(mode="baseline")
-
-
 def test_baseline_mode_exchanges_weights_only():
     space = vector_space(fixed_path=(0, 1))
-    result = small_run(mode="baseline", space=space)
+    result = small_run(space=space)
     assert not result.final_blob.has_alpha()
-    assert result.child.selections == (0, 0)  # singleton edges
+    assert result.child.selections == (0, 1)  # indices in space.candidates
     assert result.child.kinds == ("linear8", "identity")
 
 

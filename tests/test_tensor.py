@@ -431,12 +431,6 @@ def test_sgd_hand_step():
     assert np.allclose(p.data, [0.95])
 
 
-def test_sgd_missing_grad_raises():
-    p = Tensor([1.0], requires_grad=True)
-    with pytest.raises(UsageError):
-        SGD([p], lr=0.1).step()
-
-
 def test_sgd_quadratic_contraction():
     # f(w) = (w-3)^2, grad 2(w-3); w_t - 3 = (1 - 2*lr)^t * (w_0 - 3)
     p = Tensor([0.0], requires_grad=True)
