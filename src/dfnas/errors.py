@@ -33,10 +33,6 @@ class FormatError(DfnasError):
     """An on-disk file is malformed."""
 
 
-class InvariantError(DfnasError):
-    """An internal invariant was violated (e.g. an edge with no candidates left)."""
-
-
 def raise_problems(found: list[tuple[str, str]]) -> None:
     """Raise one ConfigurationError naming every (field, complaint) pair, if any."""
     if found:

@@ -156,8 +156,6 @@ def evaluate(net: Supernet, dataset: Dataset, batch_size: int = 256) -> tuple[fl
 
     A derived child is a fixed-path supernet, so this evaluates it the same way.
     """
-    if len(dataset) == 0:
-        raise ConfigurationError("test set is empty")
     selections = argmax_path(net)
     correct = 0
     loss_sum = 0.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from .blob import ParameterBlob
 from .data import Dataset
-from .errors import DataError, raise_problems
+from .errors import raise_problems
 from .seeds import stream
 from .supernet import (
     SpaceConfig,
@@ -82,8 +82,6 @@ def client_local_search(
     Never touches any data beyond `shard`.
     """
     config.validate()
-    if len(shard) == 0:
-        raise DataError("client shard is empty")
 
     net = build_supernet(space)
     unflatten_params(net, initial)

@@ -2,9 +2,10 @@
 
 A chain of choice blocks between a fixed stem and a fixed linear classifier
 head. Every block holds m interchangeable candidate operations plus an
-architecture-parameter vector alpha; softmax(alpha) over the unpruned
-candidates is the sampling distribution for single-path training. Candidates
-keep the feature shape, so any block sequence is a valid network.
+architecture-parameter vector alpha; softmax(alpha) is the sampling
+distribution for single-path training. Candidates keep the feature shape, so
+any block sequence is a valid network. Prune masks are the server's: they
+restrict only `argmax_path` (evaluation and the derived child).
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from .blob import Layout, ParameterBlob, check_layout
 from .errors import (
     ConfigurationError,
     DataError,
-    InvariantError,
     NumericalError,
-    UsageError,
     raise_problems,
 )
 from .tensor import Tape, Tensor
@@ -78,7 +77,7 @@ class Conv(CandidateOp):
         self.bias = _zeros((channels,))
 
     def forward(self, x, tape):
-        out = tz.conv2d(x, self.weight, stride=1, padding=self.k // 2, tape=tape)
+        out = tz.conv2d(x, self.weight, self.k // 2, tape=tape)
         return tz.relu(tz.bias_add(out, self.bias, tape), tape)
 
 
@@ -94,8 +93,8 @@ class SeparableConv(CandidateOp):
         self.channels = channels
 
     def forward(self, x, tape):
-        out = tz.conv2d(x, self.depthwise, 1, self.k // 2, groups=self.channels, tape=tape)
-        out = tz.conv2d(out, self.pointwise, 1, 0, tape=tape)
+        out = tz.conv2d(x, self.depthwise, self.k // 2, groups=self.channels, tape=tape)
+        out = tz.conv2d(out, self.pointwise, 0, tape=tape)
         return tz.relu(tz.bias_add(out, self.bias, tape), tape)
 
 
@@ -114,10 +113,10 @@ class GroupedShuffleConv(CandidateOp):
         self.bias = _zeros((channels,))
 
     def forward(self, x, tape):
-        out = tz.conv2d(x, self.reduce, 1, 0, groups=self.groups, tape=tape)
+        out = tz.conv2d(x, self.reduce, 0, groups=self.groups, tape=tape)
         out = tz.channel_shuffle(out, self.groups, tape)
-        out = tz.conv2d(out, self.depthwise, 1, self.k // 2, groups=self.channels, tape=tape)
-        out = tz.conv2d(out, self.expand, 1, 0, groups=self.groups, tape=tape)
+        out = tz.conv2d(out, self.depthwise, self.k // 2, groups=self.channels, tape=tape)
+        out = tz.conv2d(out, self.expand, 0, groups=self.groups, tape=tape)
         return tz.relu(tz.bias_add(out, self.bias, tape), tape)
 
 
@@ -169,7 +168,7 @@ class PointwiseStem(Layer):
         self.bias = _zeros((channels,))
 
     def forward(self, x, tape):
-        return tz.bias_add(tz.conv2d(x, self.weight, 1, 0, tape=tape), self.bias, tape)
+        return tz.bias_add(tz.conv2d(x, self.weight, 0, tape=tape), self.bias, tape)
 
 
 class Affine(Layer):
@@ -264,23 +263,15 @@ class ChoiceEdge:
             raise ConfigurationError("choice edge needs at least one candidate")
         self.candidates = candidates
         self.alpha = np.zeros(len(candidates))
-        self.pruned = np.zeros(len(candidates), dtype=bool)
-
-    def unpruned_indices(self) -> np.ndarray:
-        return np.nonzero(~self.pruned)[0]
+        self.pruned = np.zeros(len(candidates), dtype=bool)  # set by the server only
 
     def probabilities(self) -> np.ndarray:
-        """Softmax over unpruned alpha entries; pruned entries are exactly 0."""
-        alive = ~self.pruned
-        if not alive.any():
-            raise InvariantError("edge has no unpruned candidate")
-        if not np.isfinite(self.alpha[alive]).all():
+        """Softmax over alpha: the sampling distribution of this block."""
+        if not np.isfinite(self.alpha).all():
             raise NumericalError("alpha contains a non-finite value")
-        probs = np.zeros_like(self.alpha)
-        z = self.alpha[alive] - self.alpha[alive].max()
+        z = self.alpha - self.alpha.max()
         e = np.exp(z)
-        probs[alive] = e / e.sum()
-        return probs
+        return e / e.sum()
 
 
 @dataclass
@@ -372,22 +363,19 @@ def build_supernet(space: SpaceConfig) -> Supernet:
 def sample_path(net: Supernet, rng: np.random.Generator) -> PathSample:
     """Draw one candidate per block from softmax(alpha).
 
-    Blocks with a single unpruned candidate are selected deterministically and
-    consume no randomness, so degenerate spaces reduce to plain training.
+    A block with a single candidate (every block of a fixed path) is selected
+    without a draw, so a fixed-path net consumes no randomness here. Prune
+    masks are not consulted: only the server prunes, and it never samples.
     """
     selections = []
     masks = []
     for edge in net.edges:
-        alive = edge.unpruned_indices()
-        if alive.size == 1:
-            idx = int(alive[0])
-        else:
-            probs = edge.probabilities()
-            cdf = np.cumsum(probs)
-            # pruned entries have zero mass, so searchsorted can never land on
-            # them; clamp covers u falling past a cdf that rounds below 1.
-            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-            idx = min(idx, int(alive[-1]))
+        m = len(edge.candidates)
+        idx = 0
+        if m > 1:
+            cdf = np.cumsum(edge.probabilities())
+            # the clamp covers u falling past a cdf that rounds below 1
+            idx = min(int(np.searchsorted(cdf, rng.random(), side="right")), m - 1)
         selections.append(idx)
         masks.append(Tensor(np.array(1.0), requires_grad=True))
     return PathSample(selections=tuple(selections), mask_scalars=masks)
@@ -413,8 +401,6 @@ def forward_path(
     tape = Tape()
     x = net.stem.forward(features, tape)
     for edge, idx, mask in zip(net.edges, path.selections, path.mask_scalars):
-        if edge.pruned[idx]:
-            raise UsageError(f"sampled candidate {idx} is pruned")
         x = edge.candidates[idx].forward(x, tape)
         x = tz.scale(x, mask, tape)
         net.counters.candidate_executions += 1
@@ -434,18 +420,13 @@ def forward_logits(
 
 
 def alpha_gradient(edge: ChoiceEdge, selected: int, mask_grad: float) -> np.ndarray:
-    """Score-function architecture gradient: mask_grad * (onehot - probs).
-
-    Pruned positions receive exactly zero.
-    """
-    if edge.pruned[selected]:
-        raise UsageError(f"alpha gradient for pruned candidate {selected}")
+    """Score-function architecture gradient: mask_grad * (onehot - probs),
+    with probs = softmax(alpha) over every candidate of the block."""
     if not math.isfinite(mask_grad):
         raise NumericalError("mask gradient is not finite")
     probs = edge.probabilities()
     grad = -mask_grad * probs
     grad[selected] += mask_grad
-    grad[edge.pruned] = 0.0
     return grad
 
 

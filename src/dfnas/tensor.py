@@ -80,16 +80,14 @@ class Tape:
     by exactly one backward pass.
     """
 
-    __slots__ = ("_records", "_produced", "_consumed")
+    __slots__ = ("_records", "_consumed")
 
     def __init__(self):
         self._records: list[tuple[tuple[Tensor, ...], Tensor, _BackwardFn]] = []
-        self._produced: set[int] = set()
         self._consumed = False
 
     def record(self, inputs: tuple[Tensor, ...], output: Tensor, backward: _BackwardFn) -> None:
         self._records.append((inputs, output, backward))
-        self._produced.add(id(output))
 
     @property
     def live_tensors(self) -> int:
@@ -111,7 +109,8 @@ class Tape:
             g = output.grad
             if g is None:
                 continue  # output did not influence the loss
-            needs = tuple(t.requires_grad or id(t) in self._produced for t in inputs)
+            # a primitive's output requires grad iff one of its inputs does
+            needs = tuple(t.requires_grad for t in inputs)
             grads = backward(g, needs)
             for t, need, dt in zip(inputs, needs, grads):
                 if not need or dt is None:
@@ -235,25 +234,15 @@ def bias_add(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def _conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
-    span = size + 2 * padding - k
-    if span < 0 or span % stride != 0:
-        raise ConfigurationError(
-            f"conv2d: output size not integral for input {size}, kernel {k}, "
-            f"stride {stride}, padding {padding}"
-        )
-    return span // stride + 1
-
-
 def conv2d(
     x: Tensor,
     kernel: Tensor,
-    stride: int = 1,
     padding: int = 0,
+    *,
     groups: int = 1,
     tape: Tape | None = None,
 ) -> Tensor:
-    """2-D cross-correlation of an NCHW input with an FCkk kernel.
+    """2-D stride-1 cross-correlation of an NCHW input with an FCkk kernel.
 
     With groups > 1 the kernel is F x (C/groups) x k x k and input/output
     channels are split into `groups` independent bands (groups == C gives a
@@ -281,19 +270,19 @@ def conv2d(
     k = kh
     if k % 2 != 1:
         raise ConfigurationError(f"conv2d: kernel size must be odd, got {k}")
-    if stride < 1 or padding < 0:
-        raise ConfigurationError(f"conv2d: bad stride {stride} or padding {padding}")
+    if padding < 0:
+        raise ConfigurationError(f"conv2d: bad padding {padding}")
     if groups < 1 or c % groups != 0 or f % groups != 0 or c_per_group * groups != c:
         raise DimensionError(
             f"conv2d: input {x.shape} and kernel {kernel.shape} incompatible "
             f"for groups={groups}"
         )
-    h_out = _conv_out_size(h, k, stride, padding)
-    w_out = _conv_out_size(w, k, stride, padding)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if k > min(hp, wp):
+        raise ConfigurationError(f"conv2d: kernel {k} larger than padded input {hp}x{wp}")
+    h_out, w_out = hp - k + 1, wp - k + 1
     f_per_group = f // groups
     m = n * h_out * w_out  # columns per group
-    hp, wp = h + 2 * padding, w + 2 * padding
-    h_span, w_span = (h_out - 1) * stride + 1, (w_out - 1) * stride + 1  # a window's extent
 
     if padding:
         xp = np.zeros((n, c, hp, wp), dtype=np.float64)
@@ -306,7 +295,7 @@ def conv2d(
     xp_cn = xp.transpose(1, 0, 2, 3)
     for i in range(k):
         for j in range(k):
-            cols[:, i, j] = xp_cn[:, :, i : i + h_span : stride, j : j + w_span : stride]
+            cols[:, i, j] = xp_cn[:, :, i : i + h_out, j : j + w_out]
     cols = cols.reshape(groups, c_per_group * k * k, m)
     kmat = kernel.data.reshape(groups, f_per_group, c_per_group * k * k)
 
@@ -331,7 +320,7 @@ def conv2d(
                 dxp = np.zeros((c, hp, wp, n), dtype=np.float64)
                 for i in range(k):
                     for j in range(k):
-                        dxp[:, i : i + h_span : stride, j : j + w_span : stride] += dcols[:, i, j]
+                        dxp[:, i : i + h_out, j : j + w_out] += dcols[:, i, j]
                 dx = dxp[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
             return dx, dk
 

@@ -143,13 +143,13 @@ def test_criterion_01_gradient_suite():
         k = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
         wc = rng.normal(size=(1, 2, 4, 4))
         tape = Tape()
-        out = tz.conv2d(x, k, 1, 1, tape=tape)
+        out = tz.conv2d(x, k, 1, tape=tape)
         tape.backward(tz.sum_all(tz.mul(out, Tensor(wc), tape), tape))
         assert rel_err(x.grad, fd_gradient(
-            lambda v: float((tz.conv2d(Tensor(v), Tensor(k.data), 1, 1).data * wc).sum()),
+            lambda v: float((tz.conv2d(Tensor(v), Tensor(k.data), 1).data * wc).sum()),
             x.data, h)) < tol
         assert rel_err(k.grad, fd_gradient(
-            lambda v: float((tz.conv2d(Tensor(x.data), Tensor(v), 1, 1).data * wc).sum()),
+            lambda v: float((tz.conv2d(Tensor(x.data), Tensor(v), 1).data * wc).sum()),
             k.data, h)) < tol
 
         # relu, kink excluded

@@ -9,6 +9,7 @@ one in `tests/`.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,18 @@ def test_bench_tests_pass():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, f"bench/tests failed:\n{proc.stdout}{proc.stderr}"
+
+
+def test_traced_run_names_grouped_convs_by_groups():
+    # The tracer reads `groups` from a conv2d call to name its shape; a grouped
+    # or depthwise call it could not read would be counted as k1g1 or k3g1.
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "grouped-parallel", "--seed", "2",
+         "--seconds", "1", "--trace", "1", "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, f"traced run failed:\n{proc.stdout}{proc.stderr}"
+    result = json.loads([line for line in proc.stdout.splitlines() if line.startswith("{")][-1])
+    assert result["correct"]
+    for shape in ("k3g8", "k1g2"):
+        assert result["metrics"][f"tensor.conv2d.{shape}.calls"]["value"] > 0, shape

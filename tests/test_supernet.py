@@ -12,9 +12,7 @@ from dfnas import tensor as tz
 from dfnas.errors import (
     ConfigurationError,
     DataError,
-    InvariantError,
     SerializationError,
-    UsageError,
 )
 from dfnas.supernet import (
     ChoiceEdge,
@@ -124,15 +122,6 @@ def test_probabilities_uniform_at_zero_init():
     assert np.allclose(edge.probabilities(), [0.25] * 4, atol=1e-15)
 
 
-def test_probabilities_renormalize_over_unpruned():
-    edge = ChoiceEdge([Identity() for _ in range(4)])
-    edge.pruned[3] = True
-    probs = edge.probabilities()
-    assert np.allclose(probs[:3], [1 / 3] * 3, atol=1e-15)
-    assert probs[3] == 0.0
-    assert abs(probs.sum() - 1.0) < 1e-9
-
-
 def test_probabilities_match_direct_softmax():
     edge = ChoiceEdge([Identity() for _ in range(3)])
     edge.alpha[:] = [1.0, 2.0, 3.0]
@@ -182,14 +171,16 @@ def test_sampling_matches_softmax_chi_square():
     assert np.abs(counts / draws - 0.25).max() < 0.02
 
 
-def test_sampling_never_selects_pruned():
+def test_sampling_a_fixed_path_draws_nothing():
     net = build_supernet(
-        small_image_space(blocks=1, candidates=("conv3", "conv5", "identity", "sep3"))
+        small_image_space(
+            blocks=3, candidates=("conv3", "identity", "sep3"), fixed_path=(2, 0, 1)
+        )
     )
-    net.edges[0].pruned[2] = True
-    rng = np.random.default_rng(7)
-    for _ in range(10_000):
-        assert sample_path(net, rng).selections[0] != 2
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert sample_path(net, rng).selections == (0, 0, 0)  # indices on the built edges
+    assert rng.bit_generator.state == before
 
 
 # --- forward ---
@@ -249,23 +240,6 @@ def test_forward_rejects_shape_mismatch():
         forward_path(net, path, bad, np.array([0, 1]))
 
 
-def test_probabilities_reject_fully_pruned_edge():
-    edge = ChoiceEdge([Identity(), Identity()])
-    edge.pruned[:] = True
-    with pytest.raises(InvariantError):
-        edge.probabilities()
-
-
-def test_forward_rejects_pruned_selection():
-    space = small_image_space(blocks=1)
-    net = build_supernet(space)
-    features, labels = batch_for(space)
-    path = PathSample(selections=(1,), mask_scalars=[Tensor(np.array(1.0), requires_grad=True)])
-    net.edges[0].pruned[1] = True
-    with pytest.raises(UsageError):
-        forward_path(net, path, features, labels)
-
-
 # --- alpha gradient ---
 
 
@@ -278,13 +252,6 @@ def test_alpha_gradient_uniform_case():
     edge = ChoiceEdge([Identity() for _ in range(4)])
     got = alpha_gradient(edge, 0, 1.0)
     assert np.allclose(got, [0.75, -0.25, -0.25, -0.25], atol=1e-15)
-
-
-def test_alpha_gradient_rejects_pruned():
-    edge = ChoiceEdge([Identity() for _ in range(3)])
-    edge.pruned[2] = True
-    with pytest.raises(UsageError):
-        alpha_gradient(edge, 2, 1.0)
 
 
 def test_alpha_gradient_matches_log_softmax_finite_differences():

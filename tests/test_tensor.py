@@ -78,24 +78,24 @@ def test_conv2d_identity_kernel():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(1, 1, 5, 5)))
     k = Tensor(np.ones((1, 1, 1, 1)))
-    out = tz.conv2d(x, k, stride=1, padding=0)
+    out = tz.conv2d(x, k, padding=0)
     assert np.array_equal(out.data, x.data)
 
 
 def test_conv2d_counting_kernel():
     x = Tensor(np.ones((1, 1, 3, 3)))
     k = Tensor(np.ones((1, 1, 3, 3)))
-    out = tz.conv2d(x, k, stride=1, padding=0)
+    out = tz.conv2d(x, k, padding=0)
     assert out.data.shape == (1, 1, 1, 1)
     assert out.item() == 9.0
 
 
-def test_conv2d_rejects_non_integral_output():
-    x = Tensor(np.zeros((1, 1, 5, 5)))
+def test_conv2d_rejects_kernel_larger_than_padded_input():
+    x = Tensor(np.zeros((1, 1, 2, 5)))
     k = Tensor(np.zeros((1, 1, 3, 3)))
-    assert tz.conv2d(x, k, stride=2, padding=0).shape == (1, 1, 2, 2)
-    with pytest.raises(ConfigurationError):
-        tz.conv2d(x, k, stride=3, padding=0)  # (5 - 3) / 3 is not integral
+    assert tz.conv2d(x, k, padding=1).shape == (1, 1, 2, 5)
+    with pytest.raises(ConfigurationError, match="larger than padded input"):
+        tz.conv2d(x, k, padding=0)  # 3 rows of kernel, 2 rows of input
 
 
 def test_conv2d_rejects_even_kernel():
@@ -110,54 +110,31 @@ def test_conv2d_gradient_matches_finite_differences():
     w = rng.normal(size=(2, 4, 8, 8))  # fixed projection to a scalar
 
     tape = Tape()
-    out = tz.conv2d(x, k, stride=1, padding=1, tape=tape)
+    out = tz.conv2d(x, k, padding=1, tape=tape)
     loss = tz.sum_all(tz.mul(out, Tensor(w), tape), tape)
     tape.backward(loss)
 
     def f_x(v):
-        c = tz.conv2d(Tensor(v), Tensor(k.data), stride=1, padding=1)
+        c = tz.conv2d(Tensor(v), Tensor(k.data), padding=1)
         return float((c.data * w).sum())
 
     def f_k(v):
-        c = tz.conv2d(Tensor(x.data), Tensor(v), stride=1, padding=1)
+        c = tz.conv2d(Tensor(x.data), Tensor(v), padding=1)
         return float((c.data * w).sum())
 
     assert rel_err(x.grad, fd_gradient(f_x, x.data)) < 1e-5
     assert rel_err(k.grad, fd_gradient(f_k, k.data)) < 1e-5
 
 
-def test_conv2d_grouped_and_strided_gradients():
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(2, 4, 7, 7)), requires_grad=True)
-    k = Tensor(rng.normal(size=(4, 1, 3, 3)), requires_grad=True)  # depthwise
-    w = rng.normal(size=(2, 4, 4, 4))
-
-    tape = Tape()
-    out = tz.conv2d(x, k, stride=2, padding=1, groups=4, tape=tape)
-    assert out.shape == (2, 4, 4, 4)
-    loss = tz.sum_all(tz.mul(out, Tensor(w), tape), tape)
-    tape.backward(loss)
-
-    def f_k(v):
-        c = tz.conv2d(Tensor(x.data), Tensor(v), stride=2, padding=1, groups=4)
-        return float((c.data * w).sum())
-
-    assert rel_err(k.grad, fd_gradient(f_k, k.data)) < 1e-5
-
-
-def _einsum_conv2d(x, kernel, stride, padding, groups, g):
+def _einsum_conv2d(x, kernel, padding, groups, g):
     """Reference: the earlier per-group einsum conv2d, as (out, dx, dk) for
     upstream gradient g. Kept to pin conv2d's results bit for bit."""
     n, c, h, w = x.shape
     f, c_per_group, k, _ = kernel.shape
-    h_out = (h + 2 * padding - k) // stride + 1
-    w_out = (w + 2 * padding - k) // stride + 1
+    h_out = h + 2 * padding - k + 1
+    w_out = w + 2 * padding - k + 1
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    window = [
-        [np.s_[:, :, i : i + (h_out - 1) * stride + 1 : stride,
-               j : j + (w_out - 1) * stride + 1 : stride] for j in range(k)]
-        for i in range(k)
-    ]
+    window = [[np.s_[:, :, i : i + h_out, j : j + w_out] for j in range(k)] for i in range(k)]
     cols = np.empty((n, c, k, k, h_out, w_out))
     for i in range(k):
         for j in range(k):
@@ -178,40 +155,39 @@ def _einsum_conv2d(x, kernel, stride, padding, groups, g):
     return out, dxp[:, :, padding : padding + h, padding : padding + w], dk
 
 
-# (batch, in channels, out channels, kernel, groups, stride) and input
-# (height, width): the shapes the search space runs, at training batch 32,
-# evaluation batch 256 and a ragged last batch, plus a non-square input and a
+# (batch, in channels, out channels, kernel, groups) and input (height,
+# width): the shapes the search space runs, at training batch 32, evaluation
+# batch 256 and a ragged last batch, plus a non-square input and a
 # single-sample depthwise batch.
 CONV_SHAPES = {
-    "dense-k3-b32": ((32, 4, 4, 3, 1, 1), (8, 8)),
-    "dense-k5-b32": ((32, 4, 4, 5, 1, 1), (8, 8)),
-    "dense-k3-b256": ((256, 4, 4, 3, 1, 1), (8, 8)),
-    "dense-k5-b256": ((256, 4, 4, 5, 1, 1), (8, 8)),
-    "dense-k3-ragged": ((13, 4, 4, 3, 1, 1), (8, 8)),
-    "dense-k5-ragged": ((13, 4, 4, 5, 1, 1), (8, 8)),
-    "depthwise-k3g8": ((32, 8, 8, 3, 8, 1), (8, 8)),
-    "grouped-k1g2": ((32, 8, 8, 1, 2, 1), (8, 8)),
-    "stem-k1-from-1": ((32, 1, 4, 1, 1, 1), (8, 8)),
-    "pointwise-8to8": ((32, 8, 8, 1, 1, 1), (8, 8)),
-    "grouped-k3g2-stride2": ((5, 6, 4, 3, 2, 2), (9, 9)),
-    "dense-k5-nonsquare-8x6": ((32, 4, 4, 5, 1, 1), (8, 6)),
-    "depthwise-k3g8-b1": ((1, 8, 8, 3, 8, 1), (8, 8)),
+    "dense-k3-b32": ((32, 4, 4, 3, 1), (8, 8)),
+    "dense-k5-b32": ((32, 4, 4, 5, 1), (8, 8)),
+    "dense-k3-b256": ((256, 4, 4, 3, 1), (8, 8)),
+    "dense-k5-b256": ((256, 4, 4, 5, 1), (8, 8)),
+    "dense-k3-ragged": ((13, 4, 4, 3, 1), (8, 8)),
+    "dense-k5-ragged": ((13, 4, 4, 5, 1), (8, 8)),
+    "depthwise-k3g8": ((32, 8, 8, 3, 8), (8, 8)),
+    "grouped-k1g2": ((32, 8, 8, 1, 2), (8, 8)),
+    "stem-k1-from-1": ((32, 1, 4, 1, 1), (8, 8)),
+    "pointwise-8to8": ((32, 8, 8, 1, 1), (8, 8)),
+    "dense-k5-nonsquare-8x6": ((32, 4, 4, 5, 1), (8, 6)),
+    "depthwise-k3g8-b1": ((1, 8, 8, 3, 8), (8, 8)),
 }
 
 
 @pytest.mark.parametrize("shape, hw", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
 def test_conv2d_bit_identical_to_per_group_einsum(shape, hw):
-    n, c, f, k, groups, stride = shape
-    rng = np.random.default_rng(sum(shape))
+    n, c, f, k, groups = shape
+    rng = np.random.default_rng(sum(shape) + 1)  # + 1 keeps each case's established draws
     x = Tensor(rng.normal(size=(n, c, *hw)), requires_grad=True)
     kernel = Tensor(rng.normal(size=(f, c // groups, k, k)), requires_grad=True)
 
     tape = Tape()
-    out = tz.conv2d(x, kernel, stride=stride, padding=k // 2, groups=groups, tape=tape)
+    out = tz.conv2d(x, kernel, padding=k // 2, groups=groups, tape=tape)
     g = rng.normal(size=out.shape)
     tape.backward(tz.sum_all(tz.mul(out, Tensor(g), tape), tape))
 
-    ref_out, ref_dx, ref_dk = _einsum_conv2d(x.data, kernel.data, stride, k // 2, groups, g)
+    ref_out, ref_dx, ref_dk = _einsum_conv2d(x.data, kernel.data, k // 2, groups, g)
     # Layout matters too: reductions over a gradient (the clip norm, bias
     # gradients) sum in memory order.
     for arr in (out.data, x.grad, kernel.grad):
@@ -369,6 +345,17 @@ def test_gradients_accumulate_across_shared_inputs():
     assert np.allclose(x.grad, [7.0])  # 2x + 1 at x=3
 
 
+def test_intermediate_without_requires_grad_gets_no_gradient():
+    x = Tensor([3.0], requires_grad=True)
+    c = Tensor([2.0])
+    tape = Tape()
+    const = tz.mul(c, c, tape)  # taped, but computed from constants only
+    tape.backward(tz.sum_all(tz.mul(x, const, tape), tape))
+    assert not const.requires_grad
+    assert const.grad is None and c.grad is None
+    assert np.allclose(x.grad, [4.0])
+
+
 def test_first_gradient_write_is_a_fresh_c_ordered_array():
     x = Tensor(np.zeros((2, 3)), requires_grad=True)
     out = Tensor(np.array(1.0), requires_grad=True)
@@ -475,14 +462,14 @@ def test_primitive_gradients_100_seeds():
         k = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
         w_cv = rng.normal(size=(1, 2, 5, 5))
         tape = Tape()
-        out = tz.conv2d(x, k, stride=1, padding=1, tape=tape)
+        out = tz.conv2d(x, k, padding=1, tape=tape)
         tape.backward(tz.sum_all(tz.mul(out, Tensor(w_cv), tape), tape))
 
         def f_conv(v):
-            return float((tz.conv2d(Tensor(v), Tensor(k.data), 1, 1).data * w_cv).sum())
+            return float((tz.conv2d(Tensor(v), Tensor(k.data), 1).data * w_cv).sum())
 
         def f_kern(v):
-            return float((tz.conv2d(Tensor(x.data), Tensor(v), 1, 1).data * w_cv).sum())
+            return float((tz.conv2d(Tensor(x.data), Tensor(v), 1).data * w_cv).sum())
 
         assert rel_err(x.grad, fd_gradient(f_conv, x.data)) < 1e-4
         assert rel_err(k.grad, fd_gradient(f_kern, k.data)) < 1e-4
@@ -515,7 +502,7 @@ def test_determinism_bit_identical_across_runs():
         x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 3, 3, 3)), requires_grad=True)
         tape = Tape()
-        out = tz.relu(tz.conv2d(x, k, 1, 1, tape=tape), tape)
+        out = tz.relu(tz.conv2d(x, k, 1, tape=tape), tape)
         flat = tz.flatten_batch(out, tape)
         head = Tensor(rng.normal(size=(flat.shape[1], 4)))
         loss = tz.softmax_cross_entropy(tz.matmul(flat, head, tape), np.array([0, 1]), tape)
