@@ -3,20 +3,22 @@
 The fields of `ExperimentConfig` are the single source: each field is one key
 (a section prefix becomes `section.key`), parsed by the type of the field.
 Every key has a documented default; parsing validates the whole file and
-reports every violation, not just the first. `serialize_config` writes a file
-that parses back to an equal config. `data_spec`, `space_config`,
-`federation_config` and `local_config` translate a config into the inputs of
-each layer.
+reports every violation, not just the first, and a float key rejects NaN.
+`serialize_config` writes a file that parses back to an equal config.
+
+`data_specs`, `space_config`, `federation_config` and `local_config` build the
+inputs of each layer by one rule: key `section.x` is field `x` of that
+section's layer config. Only the values no key holds (sample counts, the class
+count, the input shape, seeds and the baseline's fixed path) are named there.
 """
 
 from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from .data import DataSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_input_text
 from .federation import FederationConfig
 from .local_search import LocalSearchConfig
 from .seeds import derive_seed
@@ -41,7 +43,6 @@ class ExperimentConfig:
 
     partition_kind: str = "dirichlet"  # iid | dirichlet
     partition_concentration: float = 0.5
-    partition_resplit_each_round: bool = False
 
     space_blocks: int = 4
     space_candidates: tuple[str, ...] = ("conv3", "conv5", "identity")
@@ -89,10 +90,17 @@ def _parse_path(text: str) -> tuple[int, ...] | None:
     return tuple(int(t.strip()) for t in text.split(","))
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if value != value:
+        raise ValueError("NaN is not a valid value")
+    return value
+
+
 def _parse_optional_float(text: str) -> float | None:
     if not text.strip() or text.strip().lower() == "none":
         return None
-    return float(text)
+    return _parse_float(text)
 
 
 def _fmt(value) -> str:
@@ -113,7 +121,7 @@ _SECTIONS = ("data", "partition", "space", "federation", "local")
 _PARSERS = {
     "str": str,
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "bool": _parse_bool,
     "tuple[str, ...]": _parse_tokens,
     "tuple[int, ...] | None": _parse_path,
@@ -133,15 +141,20 @@ KEY_TABLE: dict[str, tuple[str, object]] = {
 }
 
 
-def data_spec(config: ExperimentConfig, n_samples: int) -> DataSpec:
-    return DataSpec(
-        kind=config.data_kind,
-        n_samples=n_samples,
-        num_classes=config.data_classes,
-        noise=config.data_noise,
-        feature_dim=config.data_feature_dim,
-        image_channels=config.data_image_channels,
-        image_size=config.data_image_size,
+def _layer(cls, config: ExperimentConfig, section: str, **derived):
+    """`cls` with each field `x` not in `derived` read from key `section.x`.
+
+    A field with neither a key nor a derived value raises, on every call.
+    """
+    keyed = (f.name for f in fields(cls) if f.name not in derived)
+    return cls(**derived, **{x: getattr(config, f"{section}_{x}") for x in keyed})
+
+
+def data_specs(config: ExperimentConfig) -> tuple[DataSpec, DataSpec]:
+    """The client training pool's spec and the server-held test set's."""
+    return tuple(
+        _layer(DataSpec, config, "data", n_samples=n, num_classes=config.data_classes)
+        for n in (config.data_train_samples, config.data_test_samples)
     )
 
 
@@ -154,39 +167,19 @@ def space_config(config: ExperimentConfig, fixed_path: tuple[int, ...] | None = 
         input_shape = (config.data_feature_dim,)
     if fixed_path is None and config.mode == "baseline":
         fixed_path = config.space_fixed_path
-    return SpaceConfig(
-        blocks=config.space_blocks,
-        candidates=config.space_candidates,
-        input_shape=input_shape,
-        num_classes=config.data_classes,
-        channels=config.space_channels,
-        hidden_width=config.space_hidden_width,
-        init_seed=derive_seed(config.master_seed, "init"),
-        fixed_path=fixed_path,
+    return _layer(
+        SpaceConfig, config, "space", input_shape=input_shape, num_classes=config.data_classes,
+        init_seed=derive_seed(config.master_seed, "init"), fixed_path=fixed_path,
     )
 
 
 def federation_config(config: ExperimentConfig) -> FederationConfig:
-    return FederationConfig(
-        rounds=config.federation_rounds,
-        client_pool=config.federation_client_pool,
-        clients_per_round=config.federation_clients_per_round,
-        weighting=config.federation_weighting,
-        server_alpha_threshold=config.federation_server_alpha_threshold,
-        workers=config.federation_workers,
-        master_seed=config.master_seed,
-    )
+    return _layer(FederationConfig, config, "federation", master_seed=config.master_seed)
 
 
 def local_config(config: ExperimentConfig) -> LocalSearchConfig:
-    return LocalSearchConfig(
-        epochs=config.local_epochs,
-        batch_size=config.local_batch_size,
-        lr_w=config.local_lr_w,
-        lr_alpha=config.local_lr_alpha,
-        momentum_w=config.local_momentum_w,
-        clip_norm=config.local_clip_norm,
-    )
+    # `with_round` sets each client's seed and epoch offset
+    return _layer(LocalSearchConfig, config, "local", seed=0, epoch_offset=0)
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
@@ -196,11 +189,10 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     ones no layer owns.
     """
     classes = {"num_classes": "data.classes"}  # layer field -> file key, where they differ
+    train, test = data_specs(config)
     layers = (
-        ("data", data_spec(config, config.data_train_samples),
-         {**classes, "n_samples": "data.train_samples"}),
-        ("data", data_spec(config, config.data_test_samples),
-         {**classes, "n_samples": "data.test_samples"}),
+        ("data", train, {**classes, "n_samples": "data.train_samples"}),
+        ("data", test, {**classes, "n_samples": "data.test_samples"}),
         ("space", space_config(config), classes),
         ("federation", federation_config(config), {}),
         ("local", local_config(config), {}),
@@ -216,8 +208,6 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         problems.append(
             f"partition.concentration must be > 0, got {config.partition_concentration}"
         )
-    if config.partition_resplit_each_round and config.partition_kind != "iid":
-        problems.append("partition.resplit_each_round is only available for iid partitions")
     if config.mode not in ("dfnas", "baseline"):
         problems.append(f"mode must be dfnas or baseline, got {config.mode!r}")
     if config.mode == "baseline" and config.space_fixed_path is None:
@@ -267,7 +257,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+    return parse_config_text(read_input_text(path, ConfigurationError), source=str(path))
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the package."""
 
+from pathlib import Path
+
 
 class DfnasError(Exception):
     """Base class for every error raised by this package."""
@@ -37,3 +39,13 @@ def raise_problems(found: list[tuple[str, str]]) -> None:
     """Raise one ConfigurationError naming every (field, complaint) pair, if any."""
     if found:
         raise ConfigurationError("; ".join(f"{name} {why}" for name, why in found))
+
+
+def read_input_text(path, error: type[DfnasError]) -> str:
+    """The UTF-8 text of a file the user named; raises `error` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise error(f"{path}: cannot read: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text (byte {err.start})") from err

@@ -15,22 +15,23 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
     ExperimentConfig,
-    data_spec,
+    data_specs,
     federation_config,
     local_config,
     serialize_config,
     space_config,
 )
 from .data import Dataset, Partition, dirichlet_split, generate_synthetic, iid_split
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, FormatError, read_input_text
 from .federation import FederationResult, evaluate, run_federated_search
 from .local_search import LocalSearchConfig, client_local_search
 from .seeds import derive_seed, stream
@@ -41,19 +42,15 @@ METRICS_HEADER = "round,clients,test_acc,test_loss,bytes_up,bytes_down,wall_ms"
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Client training pool and the server-held test set."""
-    train = generate_synthetic(
-        data_spec(config, config.data_train_samples),
-        stream(config.master_seed, "data", "train"),
+    train, test = data_specs(config)
+    return (
+        generate_synthetic(train, stream(config.master_seed, "data", "train")),
+        generate_synthetic(test, stream(config.master_seed, "data", "test")),
     )
-    test = generate_synthetic(
-        data_spec(config, config.data_test_samples),
-        stream(config.master_seed, "data", "test"),
-    )
-    return train, test
 
 
-def build_partition(config: ExperimentConfig, train: Dataset, round_index: int = 0) -> Partition:
-    rng = stream(config.master_seed, "partition", round_index)
+def build_partition(config: ExperimentConfig, train: Dataset) -> Partition:
+    rng = stream(config.master_seed, "partition", 0)
     if config.partition_kind == "iid":
         return iid_split(train, config.federation_client_pool, rng)
     return dirichlet_split(
@@ -91,18 +88,13 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> ExperimentA
     fed = federation_config(config)
     local = local_config(config)
 
-    resplit = None
-    if config.partition_resplit_each_round and config.partition_kind == "iid":
-        resplit = lambda t: build_partition(config, train, t)  # noqa: E731
-
     callback = None
     if config.federation_checkpoints:
         def callback(record, blob):
             (out_dir / f"round_{record.round_index:04d}.blob").write_bytes(blob.to_bytes())
 
     result = run_federated_search(
-        train, test, partition, space, fed, local,
-        resplit=resplit, round_callback=callback,
+        train, test, partition, space, fed, local, round_callback=callback
     )
 
     metrics_path = out_dir / "metrics.csv"
@@ -148,23 +140,19 @@ class PathRank:
 NUMERICS_VERSION = 1
 
 
+def _ranking_recipe(config: ExperimentConfig, epochs: int, lr: float, momentum: float):
+    """How each fixed path trains: plain SGD on the weights, alpha frozen."""
+    return LocalSearchConfig(epochs=epochs, batch_size=config.local_batch_size, lr_w=lr,
+                             lr_alpha=0.0, momentum_w=momentum)
+
+
 def _ranking_cache_key(config: ExperimentConfig, epochs: int, lr: float, momentum: float) -> str:
-    payload = {
-        "numerics": NUMERICS_VERSION,
-        "candidates": list(config.space_candidates),
-        "blocks": config.space_blocks,
-        "channels": config.space_channels,
-        "hidden_width": config.space_hidden_width,
-        "data": [config.data_kind, config.data_train_samples, config.data_test_samples,
-                 config.data_classes, config.data_noise, config.data_image_size,
-                 config.data_image_channels, config.data_feature_dim],
-        "seed": config.master_seed,
-        "epochs": epochs,
-        "batch": config.local_batch_size,
-        "lr": lr,
-        "momentum": momentum,
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    """Hash of the layer configs a ranking is built from, so none of their fields is left out."""
+    inputs = (
+        NUMERICS_VERSION, config.master_seed, _ranking_recipe(config, epochs, lr, momentum),
+        *data_specs(config), replace(space_config(config), fixed_path=None),
+    )
+    return hashlib.sha256(repr(inputs).encode()).hexdigest()
 
 
 def rank_fixed_paths(
@@ -180,32 +168,29 @@ def rank_fixed_paths(
 
     Plain SGD by default: the point is to assess architectures, so the recipe
     is chosen for optimization stability, not speed records. Expensive, so
-    results can be cached on disk keyed by the scenario inputs. Returned
-    sorted best first (accuracy, then lower loss).
+    results can be cached on disk keyed by the scenario inputs; a cache that
+    does not parse counts as a miss. Returned sorted best first (accuracy,
+    then lower loss).
     """
     key = _ranking_cache_key(config, epochs, lr, momentum)
-    if cache_path is not None and Path(cache_path).exists():
-        payload = json.loads(Path(cache_path).read_text(encoding="utf-8"))
-        if payload.get("key") == key:
-            return [
-                PathRank(tuple(e["path"]), e["test_acc"], e["final_loss"])
-                for e in payload["ranks"]
-            ]
+    if cache_path is not None:
+        cache_path = Path(cache_path)
+        try:
+            payload = json.loads(cache_path.read_text(encoding="utf-8"))
+            if payload["key"] == key:
+                return [PathRank(tuple(e["path"]), e["test_acc"], e["final_loss"])
+                        for e in payload["ranks"]]
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # missing, torn or foreign: recompute and overwrite
 
+    recipe = _ranking_recipe(config, epochs, lr, momentum)
     m = len(config.space_candidates)
     ranks: list[PathRank] = []
     for path in itertools.product(range(m), repeat=config.space_blocks):
         sp = space_config(config, fixed_path=path)
         net = build_supernet(sp)
         blob = flatten_params(net, include_alpha=False)
-        cfg = LocalSearchConfig(
-            epochs=epochs,
-            batch_size=config.local_batch_size,
-            lr_w=lr,
-            lr_alpha=0.0,
-            momentum_w=momentum,
-            seed=derive_seed(config.master_seed, "ranking", *path),
-        )
+        cfg = replace(recipe, seed=derive_seed(config.master_seed, "ranking", *path))
         report = client_local_search(blob, train, sp, cfg)
         unflatten_params(net, report.blob)
         acc, _ = evaluate(net, test)
@@ -213,22 +198,11 @@ def rank_fixed_paths(
     ranks.sort(key=lambda r: (-r.test_acc, r.final_loss, r.path))
 
     if cache_path is not None:
-        cache_path = Path(cache_path)
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(
-            json.dumps(
-                {
-                    "key": key,
-                    "ranks": [
-                        {"path": list(r.path), "test_acc": r.test_acc,
-                         "final_loss": r.final_loss}
-                        for r in ranks
-                    ],
-                },
-                indent=1,
-            ),
-            encoding="utf-8",
-        )
+        tmp = cache_path.with_name(f"{cache_path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps({"key": key, "ranks": [asdict(r) for r in ranks]}, indent=1),
+                       encoding="utf-8")
+        os.replace(tmp, cache_path)  # a cut write leaves the old file, never a torn one
     return ranks
 
 
@@ -237,7 +211,7 @@ def rank_fixed_paths(
 
 
 def read_metrics(path) -> tuple[list[str], list[dict[str, float]]]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    lines = read_input_text(path, FormatError).strip().splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise FormatError(
             f"{path}: metrics header mismatch (expected {METRICS_HEADER!r})"
@@ -248,7 +222,15 @@ def read_metrics(path) -> tuple[list[str], list[dict[str, float]]]:
         parts = line.split(",")
         if len(parts) != len(columns):
             raise FormatError(f"{path}: line {i} has {len(parts)} fields")
-        rows.append({c: float(v) for c, v in zip(columns, parts)})
+        row = {}
+        for column, cell in zip(columns, parts):
+            try:
+                row[column] = float(cell)
+            except ValueError:
+                raise FormatError(f"{path}: line {i}, column {column}: {cell!r} is not a number")
+        rows.append(row)
+    if not rows:
+        raise FormatError(f"{path}: no rounds after the header")
     return columns, rows
 
 
@@ -289,7 +271,7 @@ def compare_runs(paths: list, out_path=None) -> str:
 
 
 def inspect_child(path) -> str:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_input_text(path, FormatError)
     lines = text.strip().splitlines()
     if not lines or lines[0] != "child-architecture v1":
         raise FormatError(f"{path}: not a child architecture description")

@@ -253,7 +253,6 @@ def run_federated_search(
     space: SpaceConfig,
     fed: FederationConfig,
     local: LocalSearchConfig,
-    resplit: Callable[[int], Partition] | None = None,
     round_callback: Callable[[RoundRecord, ParameterBlob], None] | None = None,
     access_log: list | None = None,
 ) -> FederationResult:
@@ -283,9 +282,6 @@ def run_federated_search(
 
     history: list[RoundRecord] = []
     for t in range(fed.rounds):
-        if resplit is not None and t > 0:
-            new_partition = resplit(t)
-            state.shards = [train.subset(ix, access_log) for ix in new_partition.client_indices]
         record = run_round(state, t)
         history.append(record)
         if round_callback is not None:

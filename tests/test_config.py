@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfnas.cli import main
 from dfnas.config import (
+    _PARSERS,
+    KEY_TABLE,
     ExperimentConfig,
+    _layer,
     override,
     parse_config,
     parse_config_text,
@@ -16,6 +22,7 @@ from dfnas.config import (
     validate_config,
 )
 from dfnas.errors import ConfigurationError
+from dfnas.local_search import LocalSearchConfig
 
 MINIMAL = """
 scenario = demo
@@ -85,7 +92,7 @@ def test_round_trip_parse_serialize_parse():
         scenario="other", master_seed=11, mode="baseline", output_dir="out/x",
         data_kind="blobs", data_train_samples=123, data_test_samples=45, data_classes=3,
         data_noise=0.25, data_feature_dim=6, data_image_channels=2, data_image_size=6,
-        partition_kind="iid", partition_concentration=1.5, partition_resplit_each_round=True,
+        partition_kind="iid", partition_concentration=1.5,
         space_blocks=2, space_candidates=("linear8", "identity"), space_channels=4,
         space_hidden_width=8, space_fixed_path=(1, 0),
         federation_rounds=3, federation_client_pool=5, federation_clients_per_round=2,
@@ -97,6 +104,62 @@ def test_round_trip_parse_serialize_parse():
     for f in fields(ExperimentConfig):
         assert getattr(every_field_changed, f.name) != f.default, f.name
     assert parse_config_text(serialize_config(every_field_changed)) == every_field_changed
+
+
+_NAMES = st.text(alphabet="abz09_-./", max_size=10)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any valid config: image or vector data, with candidate tokens that fit it."""
+    classes = draw(st.integers(2, 6))
+    channels = draw(st.integers(1, 12))
+    hidden = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["patches", "blobs", "rings"]))
+    if kind == "patches":
+        groups = [g for g in range(1, channels + 1) if channels % g == 0]
+        plain = ["identity", "conv3", "conv5", "conv7", "sep3", "sep5", "sep7"]
+        kernels = st.sampled_from([3, 5, 7])
+        shuffle = st.builds("shuffle{}g{}".format, kernels, st.sampled_from(groups))
+        token = st.sampled_from(plain) | shuffle
+    else:
+        token = st.sampled_from(["identity", f"linear{hidden}"])
+    candidates = tuple(draw(st.lists(token, min_size=1, max_size=4)))
+    blocks = draw(st.integers(1, 5))
+    path = st.lists(st.integers(0, len(candidates) - 1), min_size=blocks, max_size=blocks)
+    mode = draw(st.sampled_from(["dfnas", "baseline"]))
+    fixed_path = draw(path.map(tuple) if mode == "baseline" else st.none() | path.map(tuple))
+    pool = draw(st.integers(1, 16))
+    positive = st.floats(min_value=0.0, exclude_min=True)
+    return ExperimentConfig(
+        scenario=draw(_NAMES), master_seed=draw(st.integers(0, 2**63)), mode=mode,
+        output_dir=draw(_NAMES),
+        data_kind=kind, data_train_samples=draw(st.integers(1, 10**6)),
+        data_test_samples=draw(st.integers(1, 10**6)), data_classes=classes,
+        data_noise=draw(st.floats(min_value=0.0)),
+        data_feature_dim=draw(st.integers(classes if kind == "blobs" else 2, 64)),
+        data_image_channels=draw(st.integers(1, 4)), data_image_size=draw(st.integers(1, 16)),
+        partition_kind=draw(st.sampled_from(["iid", "dirichlet"])),
+        partition_concentration=draw(positive),
+        space_blocks=blocks, space_candidates=candidates, space_channels=channels,
+        space_hidden_width=hidden, space_fixed_path=fixed_path,
+        federation_rounds=draw(st.integers(1, 1000)), federation_client_pool=pool,
+        federation_clients_per_round=draw(st.integers(1, pool)),
+        federation_weighting=draw(st.sampled_from(["uniform", "proportional"])),
+        federation_server_alpha_threshold=draw(st.floats(allow_nan=False)),
+        federation_workers=draw(st.integers(1, 8)), federation_checkpoints=draw(st.booleans()),
+        local_epochs=draw(st.integers(1, 100)), local_batch_size=draw(st.integers(1, 512)),
+        local_lr_w=draw(st.floats(min_value=0.0)), local_lr_alpha=draw(st.floats(min_value=0.0)),
+        local_momentum_w=draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+        local_clip_norm=draw(st.none() | positive),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_configs())
+def test_any_valid_config_round_trips(config):
+    assert validate_config(config) == []
+    assert parse_config_text(serialize_config(config)) == config
 
 
 def test_round_trip_preserves_infinity_and_none():
@@ -133,6 +196,33 @@ def test_space_widths_must_be_positive(key):
     assert f"{key} must be >= 1" in str(exc.value)
 
 
+FLOAT_KEYS = [
+    key for key, (_, parser) in KEY_TABLE.items()
+    if parser in (_PARSERS["float"], _PARSERS["float | None"])
+]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_nan_is_rejected_for_every_float_key(key, tmp_path, capsys):
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config_text(f"{key} = nan\n")
+    assert f"line 1: bad value for {key!r}" in str(exc.value)
+    path = tmp_path / "nan.conf"
+    path.write_text(f"{key} = nan\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_layer_field_with_no_key_and_no_derived_value_fails():
+    @dataclass(frozen=True)
+    class Extended(LocalSearchConfig):
+        unkeyed: int = 0
+
+    with pytest.raises(AttributeError, match="local_unkeyed"):
+        _layer(Extended, ExperimentConfig(), "local", seed=0, epoch_offset=0)
+    assert _layer(Extended, ExperimentConfig(), "local", seed=0, epoch_offset=0, unkeyed=1)
+
+
 def test_readme_config_block_lists_the_defaults():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -163,12 +253,3 @@ def test_override_validates():
     assert override(config, master_seed=9).master_seed == 9
     with pytest.raises(ConfigurationError):
         override(config, federation_rounds=0)
-
-
-def test_resplit_only_for_iid():
-    with pytest.raises(ConfigurationError):
-        parse_config_text(MINIMAL + "partition.resplit_each_round = true\n")
-    ok = parse_config_text(
-        MINIMAL + "partition.kind = iid\npartition.resplit_each_round = true\n"
-    )
-    assert ok.partition_resplit_each_round

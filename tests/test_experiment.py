@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from dfnas.experiment import (
     METRICS_HEADER,
     PathRank,
     build_datasets,
-    build_partition,
     compare_runs,
     inspect_child,
     rank_fixed_paths,
@@ -124,18 +124,6 @@ def test_baseline_child_numbers_candidates_in_the_space(tmp_path):
     assert "block 1: candidate 0 (conv3" in text
 
 
-def test_resplit_each_round_changes_shards(tmp_path):
-    config = small_config(
-        tmp_path, partition_kind="iid", partition_resplit_each_round=True
-    )
-    art = run_experiment(config, quiet=True)
-    assert len(art.result.history) == 3
-    train, _ = build_datasets(config)
-    p0 = build_partition(config, train, 0)
-    p1 = build_partition(config, train, 1)
-    assert not np.array_equal(p0.client_indices[0], p1.client_indices[0])
-
-
 def test_client_count_sweep_produces_one_csv_per_setting(tmp_path):
     finals = {}
     for k in (2, 4, 8):
@@ -176,6 +164,54 @@ def test_ranking_cache_from_other_numerics_version_is_recomputed(tmp_path, monke
     monkeypatch.undo()
     assert rank_fixed_paths(config, train, test, epochs=1, cache_path=cache) == fresh
     assert json.loads(cache.read_text())["key"] != other_key
+
+
+def test_unparsable_ranking_cache_is_recomputed_and_rewritten(tmp_path):
+    config = small_config(tmp_path)
+    train, test = build_datasets(config)
+    cache = tmp_path / "ranks.json"
+    fresh = rank_fixed_paths(config, train, test, epochs=1, cache_path=cache)
+    whole = cache.read_text()
+    key = experiment._ranking_cache_key(config, 1, 0.05, 0.0)
+    for broken in (whole[: len(whole) // 2], json.dumps({"key": key}), "[]"):
+        cache.write_text(broken)
+        assert rank_fixed_paths(config, train, test, epochs=1, cache_path=cache) == fresh
+        assert cache.read_text() == whole
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ranks.json"]
+
+
+# ExperimentConfig field -> another value. A ranking reads the first group and
+# none of the second, so its cache key must change with each of the first only.
+RANKING_INPUTS = {
+    "master_seed": 1, "data_kind": "blobs", "data_train_samples": 400,
+    "data_test_samples": 100, "data_classes": 3, "data_noise": 0.2, "data_feature_dim": 6,
+    "data_image_channels": 2, "data_image_size": 6, "space_blocks": 3,
+    "space_candidates": ("conv3", "identity"), "space_channels": 4, "space_hidden_width": 8,
+    "local_batch_size": 16,
+}
+NOT_RANKING_INPUTS = {
+    "scenario": "other", "mode": "baseline", "output_dir": "elsewhere",
+    "partition_kind": "iid", "partition_concentration": 2.0, "space_fixed_path": (1, 1, 1, 1),
+    "federation_rounds": 5, "federation_client_pool": 8, "federation_clients_per_round": 2,
+    "federation_weighting": "uniform", "federation_server_alpha_threshold": 0.1,
+    "federation_workers": 2, "federation_checkpoints": True, "local_epochs": 5,
+    "local_lr_w": 0.01, "local_lr_alpha": 0.1, "local_momentum_w": 0.5, "local_clip_norm": 5.0,
+}
+
+
+def test_ranking_cache_key_changes_with_the_ranking_inputs_only():
+    assert sorted(RANKING_INPUTS | NOT_RANKING_INPUTS) == sorted(
+        f.name for f in fields(ExperimentConfig)
+    )
+    base = ExperimentConfig(space_fixed_path=(0, 0, 0, 0))
+    key = experiment._ranking_cache_key(base, 2, 0.05, 0.0)
+    for inputs, changes in ((RANKING_INPUTS, True), (NOT_RANKING_INPUTS, False)):
+        for name, value in inputs.items():
+            assert getattr(base, name) != value, name
+            other = experiment._ranking_cache_key(replace(base, **{name: value}), 2, 0.05, 0.0)
+            assert (other != key) == changes, name
+    for epochs, lr, momentum in ((1, 0.05, 0.0), (2, 0.1, 0.0), (2, 0.05, 0.5)):
+        assert experiment._ranking_cache_key(base, epochs, lr, momentum) != key
 
 
 def test_rank_fixed_paths_orders_and_caches(tmp_path):
@@ -311,3 +347,34 @@ def test_cli_never_mutates_input_config(tmp_path):
     before = conf.read_bytes()
     main(["run", str(conf)])
     assert conf.read_bytes() == before
+
+
+GOOD_METRICS = METRICS_HEADER + "\n0,2,0.5,0.69,100,100,10\n"
+
+# argv with {good} and {bad} paths, the bytes of `bad` (None: it does not
+# exist), and what the error must say besides the path
+BAD_INPUTS = {
+    "run-missing": (["run", "{bad}"], None, "cannot read"),
+    "run-not-utf8": (["run", "{bad}"], "scenario = café\n".encode("latin-1"), "not UTF-8"),
+    "inspect-missing": (["inspect-child", "{bad}"], None, "cannot read"),
+    "compare-non-numeric": (
+        ["compare", "{good}", "{bad}"],
+        (METRICS_HEADER + "\n0,2,high,0.69,100,100,10\n").encode(),
+        "line 2, column test_acc",
+    ),
+    "compare-no-rows": (
+        ["compare", "{good}", "{bad}"], (METRICS_HEADER + "\n").encode(), "no rounds"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_cli_unreadable_input_exits_2_naming_the_path(case, tmp_path, capsys):
+    argv, content, says = BAD_INPUTS[case]
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.input"
+    good.write_text(GOOD_METRICS, encoding="utf-8")
+    if content is not None:
+        bad.write_bytes(content)
+    assert main([a.format(good=good, bad=bad) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and says in err

@@ -10,6 +10,8 @@ Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
+which prints, for each digest, whether it changed against the committed manifest.
+
 Other NumPy releases and BLAS builds may route a contraction differently, so
 a mismatch under another environment is reported as such, not as a change.
 """
@@ -160,8 +162,18 @@ def write_manifest(scratch: Path) -> dict:
     return manifest
 
 
+def _entries(manifest: dict) -> dict[str, str]:
+    """`name/file` -> digest, for every digest in a manifest."""
+    digests = {**manifest["runs"], "ranking": manifest["ranking"]}
+    return {f"{name}/{f}": d for name, files in digests.items() for f, d in files.items()}
+
+
 if __name__ == "__main__":
     import tempfile
 
+    before = _entries(_manifest()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps(write_manifest(Path(tmp)), indent=1, sort_keys=True))
+        after = _entries(write_manifest(Path(tmp)))
+    for entry, digest in after.items():
+        state = "new" if entry not in before else "same" if before[entry] == digest else "changed"
+        print(f"{state:7} {entry}")
