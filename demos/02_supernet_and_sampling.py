@@ -8,6 +8,7 @@ from dfnas.supernet import (
     build_supernet,
     derive_child,
     forward_path,
+    mask_gradient,
     prune_edges,
     sample_path,
 )
@@ -34,19 +35,19 @@ print("\n== sampled paths, 2000 draws on block 0 ==")
 rng = np.random.default_rng(1)
 counts = np.zeros(4)
 for _ in range(2000):
-    counts[sample_path(net, rng).selections[0]] += 1
+    counts[sample_path(net, rng)[0]] += 1
 print("empirical:", (counts / 2000).round(4).tolist())
 
 print("\n== one training step executes exactly one candidate per block ==")
 feats = Tensor(np.random.default_rng(2).normal(size=(8, 1, 8, 8)))
 labels = np.random.default_rng(3).integers(0, 4, size=8)
-path = sample_path(net, rng)
+selections = sample_path(net, rng)
 net.counters.reset()
-loss, tape = forward_path(net, path, feats, labels)
+loss, tape, outputs = forward_path(net, selections, feats, labels)
 tape.backward(loss)
-print(f"sampled path {path.selections}, loss {loss.item():.4f}")
+print(f"sampled path {selections}, loss {loss.item():.4f}")
 print(f"candidate executions: {net.counters.candidate_executions} (== blocks)")
-print(f"mask gradients: {[round(float(m.grad), 4) for m in path.mask_scalars]}")
+print(f"mask gradients: {[round(mask_gradient(out), 4) for out in outputs]}")
 
 print("\n== pruning and the derived child ==")
 for edge in net.edges:
@@ -55,7 +56,7 @@ pruned = prune_edges(net, alpha_threshold=0.0)
 print(f"pruned {pruned} candidates below threshold 0.0; "
       f"{net.cardinality()} architectures remain")
 child = derive_child(net)
-n_params = sum(t.size for t in child.net.parameters())
+n_params = sum(t.size for t in child.parameters())
 print("child:", " -> ".join(child.kinds), f"({n_params} params)")
-print(f"the child is a fixed-path supernet: fixed_path = {child.net.space.fixed_path}, "
-      f"{child.net.cardinality()} architecture")
+print(f"the child is a fixed-path supernet: fixed_path = {child.space.fixed_path}, "
+      f"{child.cardinality()} architecture")

@@ -42,5 +42,5 @@ for i, edge in enumerate(net.edges):
     print(f"  block {i}: alpha = {edge.alpha.round(3).tolist()} (identity, linear8)")
 
 child = derive_child(net)
-acc, _ = evaluate(child.net, shard)
+acc, _ = evaluate(child, shard)
 print(f"\nderived child: {' -> '.join(child.kinds)}; train accuracy {acc:.3f}")

@@ -27,16 +27,16 @@ from .federation import (
 from .local_search import LocalSearchConfig, LocalSearchReport, client_local_search
 from .seeds import derive_seed, stream
 from .supernet import (
-    ChildArchitecture,
     ChoiceEdge,
-    PathSample,
     SpaceConfig,
     Supernet,
     alpha_gradient,
     build_supernet,
     derive_child,
+    describe_child,
     flatten_params,
     forward_path,
+    mask_gradient,
     prune_edges,
     sample_path,
     unflatten_params,
@@ -46,12 +46,12 @@ from .tensor import SGD, Tape, Tensor
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChildArchitecture", "ChoiceEdge", "DataSpec", "Dataset", "ExperimentConfig",
-    "FederationConfig", "FederationResult", "LocalSearchConfig", "LocalSearchReport",
-    "ParameterBlob", "Partition", "PathSample", "RoundRecord", "SGD", "SpaceConfig",
-    "Supernet", "Tape", "Tensor", "aggregate", "alpha_gradient", "build_supernet",
-    "client_local_search", "derive_child", "derive_seed", "dirichlet_split",
-    "evaluate", "flatten_params", "forward_path", "generate_synthetic", "iid_split",
-    "parse_config", "prune_edges", "run_federated_search", "sample_path",
-    "select_clients", "serialize_config", "stream", "unflatten_params",
+    "ChoiceEdge", "DataSpec", "Dataset", "ExperimentConfig", "FederationConfig",
+    "FederationResult", "LocalSearchConfig", "LocalSearchReport", "ParameterBlob",
+    "Partition", "RoundRecord", "SGD", "SpaceConfig", "Supernet", "Tape", "Tensor",
+    "aggregate", "alpha_gradient", "build_supernet", "client_local_search",
+    "derive_child", "derive_seed", "describe_child", "dirichlet_split", "evaluate",
+    "flatten_params", "forward_path", "generate_synthetic", "iid_split",
+    "mask_gradient", "parse_config", "prune_edges", "run_federated_search",
+    "sample_path", "select_clients", "serialize_config", "stream", "unflatten_params",
 ]

@@ -1,5 +1,6 @@
 """Exception taxonomy shared across the package."""
 
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -49,3 +50,12 @@ def read_input_text(path, error: type[DfnasError]) -> str:
         raise error(f"{path}: cannot read: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
         raise error(f"{path}: not UTF-8 text (byte {err.start})") from err
+
+
+@contextmanager
+def writing(path):
+    """Turn an OSError while writing a path the user named into a ConfigurationError."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigurationError(f"{path}: cannot write: {err.strerror or err}") from err

@@ -31,11 +31,11 @@ from .config import (
     space_config,
 )
 from .data import Dataset, Partition, dirichlet_split, generate_synthetic, iid_split
-from .errors import ConfigurationError, FormatError, read_input_text
+from .errors import ConfigurationError, FormatError, read_input_text, writing
 from .federation import FederationResult, evaluate, run_federated_search
 from .local_search import LocalSearchConfig, client_local_search
 from .seeds import derive_seed, stream
-from .supernet import build_supernet, flatten_params, unflatten_params
+from .supernet import build_supernet, describe_child, flatten_params, unflatten_params
 
 METRICS_HEADER = "round,clients,test_acc,test_loss,bytes_up,bytes_down,wall_ms"
 
@@ -80,7 +80,8 @@ class ExperimentArtifacts:
 def run_experiment(config: ExperimentConfig, quiet: bool = False) -> ExperimentArtifacts:
     started = time.perf_counter()
     out_dir = Path(config.resolved_output_dir())
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     train, test = build_datasets(config)
     partition = build_partition(config, train)
@@ -91,18 +92,22 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> ExperimentA
     callback = None
     if config.federation_checkpoints:
         def callback(record, blob):
-            (out_dir / f"round_{record.round_index:04d}.blob").write_bytes(blob.to_bytes())
+            path = out_dir / f"round_{record.round_index:04d}.blob"
+            with writing(path):
+                path.write_bytes(blob.to_bytes())
 
     result = run_federated_search(
         train, test, partition, space, fed, local, round_callback=callback
     )
 
     metrics_path = out_dir / "metrics.csv"
-    metrics_path.write_text(metrics_rows(result.history), encoding="utf-8")
     child_path = out_dir / "child.txt"
-    child_path.write_text(result.child.describe(), encoding="utf-8")
     config_path = out_dir / "config.used"
-    config_path.write_text(serialize_config(config), encoding="utf-8")
+    for path, text in ((metrics_path, metrics_rows(result.history)),
+                       (child_path, describe_child(result.child)),
+                       (config_path, serialize_config(config))):
+        with writing(path):
+            path.write_text(text, encoding="utf-8")
 
     elapsed = time.perf_counter() - started
     final = result.history[-1]
@@ -247,10 +252,7 @@ def compare_runs(paths: list, out_path=None) -> str:
             name = f"{stem}#{k}"
             k += 1
         names.append(name)
-    tables = []
-    for p in paths:
-        columns, rows = read_metrics(p)
-        tables.append(rows)
+    tables = [read_metrics(p)[1] for p in paths]
 
     max_rounds = max(len(rows) for rows in tables)
     lines = ["round," + ",".join(f"{n}_acc" for n in names)]
@@ -266,7 +268,8 @@ def compare_runs(paths: list, out_path=None) -> str:
     summary = f"final accuracy: {mean:.2f} +/- {std:.2f} (%, n={len(paths)})"
     text = "\n".join(lines) + "\n" + summary + "\n"
     if out_path is not None:
-        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with writing(out_path):
+            Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return text
 
 

@@ -23,7 +23,6 @@ from .errors import ConfigurationError, DfnasError, raise_problems
 from .local_search import LocalSearchConfig, client_local_search, with_round
 from .seeds import derive_seed, stream
 from .supernet import (
-    ChildArchitecture,
     SpaceConfig,
     Supernet,
     argmax_path,
@@ -90,7 +89,7 @@ class RoundRecord:
 @dataclass
 class FederationResult:
     history: list[RoundRecord]
-    child: ChildArchitecture
+    child: Supernet  # the derived fixed-path child
     net: Supernet
     final_blob: ParameterBlob
 

@@ -2,9 +2,10 @@
 
 Each batch: sample a path, run only that path forward, backpropagate, update
 the network weights by SGD, then update every block's alpha with the
-score-function rule scaled by its mask gradient. The whole run is a pure
-function of (parameter blob, shard, config), so clients can execute in
-parallel without sharing state. Pruning is left to the server.
+score-function rule scaled by its mask gradient, read off the block output.
+The whole run is a pure function of (parameter blob, shard, config), so
+clients can execute in parallel without sharing state. Pruning is left to
+the server.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .supernet import (
     build_supernet,
     flatten_params,
     forward_path,
+    mask_gradient,
     sample_path,
     unflatten_params,
 )
@@ -102,8 +104,8 @@ def client_local_search(
             features = Tensor(shard.features[batch_idx])
             labels = shard.labels[batch_idx]
 
-            path = sample_path(net, rng)
-            loss, tape = forward_path(net, path, features, labels)
+            selections = sample_path(net, rng)
+            loss, tape, outputs = forward_path(net, selections, features, labels)
             tape.backward(loss)
 
             if config.clip_norm is not None:
@@ -116,10 +118,8 @@ def client_local_search(
             optimizer.step()  # only the sampled path has gradients
 
             if search_mode:
-                for edge, selected, mask in zip(
-                    net.edges, path.selections, path.mask_scalars
-                ):
-                    grad = alpha_gradient(edge, selected, float(mask.grad))
+                for edge, selected, output in zip(net.edges, selections, outputs):
+                    grad = alpha_gradient(edge, selected, mask_gradient(output))
                     edge.alpha -= config.lr_alpha * grad
 
             losses.append(loss.item())

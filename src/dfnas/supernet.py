@@ -4,8 +4,10 @@ A chain of choice blocks between a fixed stem and a fixed linear classifier
 head. Every block holds m interchangeable candidate operations plus an
 architecture-parameter vector alpha; softmax(alpha) is the sampling
 distribution for single-path training. Candidates keep the feature shape, so
-any block sequence is a valid network. Prune masks are the server's: they
-restrict only `argmax_path` (evaluation and the derived child).
+any block sequence is a valid network. A sampled path is one candidate index
+per block; `mask_gradient` reads each block's architecture signal off its
+output. Prune masks are the server's: they restrict only `argmax_path`
+(evaluation and the derived child, a fixed-path supernet).
 """
 
 from __future__ import annotations
@@ -274,14 +276,6 @@ class ChoiceEdge:
         return e / e.sum()
 
 
-@dataclass
-class PathSample:
-    """One sampled subnetwork: a selected candidate per block."""
-
-    selections: tuple[int, ...]
-    mask_scalars: list[Tensor]
-
-
 class Supernet:
     def __init__(
         self,
@@ -303,6 +297,11 @@ class Supernet:
     @property
     def input_shape(self) -> tuple[int, ...]:
         return self.space.input_shape
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """The kind of each block's candidate along `argmax_path`."""
+        return tuple(e.candidates[i].kind for e, i in zip(self.edges, argmax_path(self)))
 
     def cardinality(self) -> int:
         """Exact number of derivable architectures (product of unpruned counts)."""
@@ -360,7 +359,7 @@ def build_supernet(space: SpaceConfig) -> Supernet:
 # sampling, forward, architecture updates
 
 
-def sample_path(net: Supernet, rng: np.random.Generator) -> PathSample:
+def sample_path(net: Supernet, rng: np.random.Generator) -> tuple[int, ...]:
     """Draw one candidate per block from softmax(alpha).
 
     A block with a single candidate (every block of a fixed path) is selected
@@ -368,7 +367,6 @@ def sample_path(net: Supernet, rng: np.random.Generator) -> PathSample:
     masks are not consulted: only the server prunes, and it never samples.
     """
     selections = []
-    masks = []
     for edge in net.edges:
         m = len(edge.candidates)
         idx = 0
@@ -377,21 +375,20 @@ def sample_path(net: Supernet, rng: np.random.Generator) -> PathSample:
             # the clamp covers u falling past a cdf that rounds below 1
             idx = min(int(np.searchsorted(cdf, rng.random(), side="right")), m - 1)
         selections.append(idx)
-        masks.append(Tensor(np.array(1.0), requires_grad=True))
-    return PathSample(selections=tuple(selections), mask_scalars=masks)
+    return tuple(selections)
 
 
 def forward_path(
     net: Supernet,
-    path: PathSample,
+    selections: tuple[int, ...],
     features: Tensor,
     labels: np.ndarray,
-) -> tuple[Tensor, Tape]:
-    """Run only the selected candidates, mask each block output, return CE loss.
+) -> tuple[Tensor, Tape, list[Tensor]]:
+    """Run only the selected candidates and return (CE loss, tape, block outputs).
 
-    Every block output is multiplied by that block's scalar mask (value one,
-    recorded on the tape) so that after backward the mask gradient equals the
-    inner product of the output feature map with its upstream gradient.
+    After `tape.backward(loss)`, `mask_gradient` of each block output is the
+    gradient a unit mask on that output would receive. An identity block's
+    output is its input tensor, so it shares that gradient too.
     """
     if features.shape[1:] != net.input_shape:
         raise DataError(
@@ -400,13 +397,19 @@ def forward_path(
         )
     tape = Tape()
     x = net.stem.forward(features, tape)
-    for edge, idx, mask in zip(net.edges, path.selections, path.mask_scalars):
+    outputs = []
+    for edge, idx in zip(net.edges, selections):
         x = edge.candidates[idx].forward(x, tape)
-        x = tz.scale(x, mask, tape)
+        outputs.append(x)
         net.counters.candidate_executions += 1
     logits = net.head.forward(x, tape)
     loss = tz.softmax_cross_entropy(logits, labels, tape)
-    return loss, tape
+    return loss, tape, outputs
+
+
+def mask_gradient(output: Tensor) -> float:
+    """d loss / d m for a unit mask m on a block output: <output, d loss / d output>."""
+    return float((output.grad * output.data).sum())
 
 
 def forward_logits(
@@ -457,38 +460,7 @@ def argmax_path(net: Supernet) -> tuple[int, ...]:
     return tuple(int(np.argmax(np.where(e.pruned, -np.inf, e.alpha))) for e in net.edges)
 
 
-@dataclass
-class ChildArchitecture:
-    """A deployable network: the argmax candidate per block with frozen weights.
-
-    `net` is a fixed-path supernet, one candidate per block; `selections` are
-    its path, the candidates' indices in `space.candidates`.
-    """
-
-    selections: tuple[int, ...]
-    net: Supernet
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(edge.candidates[0].kind for edge in self.net.edges)
-
-    def describe(self) -> str:
-        net = self.net
-        lines = [
-            "child-architecture v1",
-            f"input_shape = {'x'.join(str(d) for d in net.input_shape)}",
-            f"num_classes = {net.num_classes}",
-            f"blocks = {len(net.edges)}",
-            f"params = {sum(t.size for t in net.parameters())}",
-        ]
-        for i, (idx, edge) in enumerate(zip(self.selections, net.edges)):
-            (op,) = edge.candidates
-            n_params = sum(t.size for _, t in op.tensors())
-            lines.append(f"block {i}: candidate {idx} ({op.kind}, {n_params} params)")
-        return "\n".join(lines) + "\n"
-
-
-def derive_child(net: Supernet) -> ChildArchitecture:
+def derive_child(net: Supernet) -> Supernet:
     """The argmax path as a fixed-path supernet with copied weights.
 
     The child's path is the net's `fixed_path`, or else `argmax_path(net)`, so
@@ -497,14 +469,28 @@ def derive_child(net: Supernet) -> ChildArchitecture:
     unaffected by further supernet training and needs no retraining itself.
     """
     built = argmax_path(net)  # indices on the built edges
-    selections = net.space.fixed_path or built
-    child = Supernet(
-        replace(net.space, fixed_path=selections),
+    return Supernet(
+        replace(net.space, fixed_path=net.space.fixed_path or built),
         copy.deepcopy(net.stem),
         [ChoiceEdge([copy.deepcopy(e.candidates[i])]) for e, i in zip(net.edges, built)],
         copy.deepcopy(net.head),
     )
-    return ChildArchitecture(selections, child)
+
+
+def describe_child(child: Supernet) -> str:
+    """The `child.txt` text: shape, size and each block's candidate in `space.candidates`."""
+    lines = [
+        "child-architecture v1",
+        f"input_shape = {'x'.join(str(d) for d in child.input_shape)}",
+        f"num_classes = {child.num_classes}",
+        f"blocks = {len(child.edges)}",
+        f"params = {sum(t.size for t in child.parameters())}",
+    ]
+    for i, (idx, edge) in enumerate(zip(child.space.fixed_path, child.edges)):
+        (op,) = edge.candidates
+        n_params = sum(t.size for _, t in op.tensors())
+        lines.append(f"block {i}: candidate {idx} ({op.kind}, {n_params} params)")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -175,13 +175,13 @@ def test_criterion_01_gradient_suite():
         net = build_supernet(space)
         feats = Tensor(rng.normal(size=(2, 1, 4, 4)))
         labels = rng.integers(0, 3, size=2)
-        path = sample_path(net, rng)
-        loss, tape = forward_path(net, path, feats, labels)
+        selections = sample_path(net, rng)
+        loss, tape, _ = forward_path(net, selections, feats, labels)
         tape.backward(loss)
         items = net.weight_items()
 
         def loss_now():
-            logits = forward_logits(net, path.selections, feats)
+            logits = forward_logits(net, selections, feats)
             return tz.softmax_cross_entropy(logits, labels).item()
 
         base_loss = loss_now()
@@ -285,9 +285,9 @@ def test_criterion_03_single_path_cost():
         rng = np.random.default_rng(0)
         feats = Tensor(rng.normal(size=(2, 1, 4, 4)))
         labels = rng.integers(0, 3, size=2)
-        path = sample_path(net, rng)
+        selections = sample_path(net, rng)
         net.counters.reset()
-        loss, tape = forward_path(net, path, feats, labels)
+        loss, tape, _ = forward_path(net, selections, feats, labels)
         tape.backward(loss)
         assert net.counters.candidate_executions == 3  # == B, never B*m
         per_m[m] = (net.counters.candidate_executions, tape.live_tensors)
@@ -390,7 +390,7 @@ def test_criterion_06_sampling_statistics():
     draws = 10_000
     counts = np.zeros(4)
     for _ in range(draws):
-        counts[sample_path(net, rng).selections[0]] += 1
+        counts[sample_path(net, rng)[0]] += 1
     stat = float(((counts - draws * probs) ** 2 / (draws * probs)).sum())
     p_value = float(stats.chi2.sf(stat, df=3))
     assert p_value > 0.01

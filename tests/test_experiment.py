@@ -378,3 +378,19 @@ def test_cli_unreadable_input_exits_2_naming_the_path(case, tmp_path, capsys):
     assert main([a.format(good=good, bad=bad) for a in argv]) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and says in err
+
+
+def test_cli_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("not a directory\n")
+    out_dir = blocker / "run"
+    assert main(["run", str(write_config(tmp_path)), "--out", str(out_dir)]) == 2
+    assert str(out_dir) in capsys.readouterr().err
+
+
+def test_cli_compare_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    good.write_text(GOOD_METRICS, encoding="utf-8")
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["compare", str(good), str(good), "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err

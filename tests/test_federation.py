@@ -175,7 +175,7 @@ def test_child_evaluation_matches_argmax_supernet():
         edge.alpha[:] = rng.normal(size=2)
     data = blob_data(n=64, seed=2)
     acc_net, loss_net = evaluate(net, data)
-    acc_child, loss_child = evaluate(derive_child(net).net, data)
+    acc_child, loss_child = evaluate(derive_child(net), data)
     assert acc_net == acc_child
     assert abs(loss_net - loss_child) < 1e-12
 
@@ -189,18 +189,18 @@ def test_child_is_the_fixed_path_supernet_of_its_selections():
     for edge, best in zip(net.edges, (1, 2, 0)):
         edge.alpha[best] = 1.0
     child = derive_child(net)
-    assert child.selections == (1, 2, 0)
-    baseline = build_supernet(replace(space, fixed_path=child.selections))
+    assert child.space == replace(space, fixed_path=(1, 2, 0))
+    baseline = build_supernet(child.space)
     layout = expected_layout(baseline, include_alpha=False)
-    assert expected_layout(child.net, include_alpha=False) == layout
-    unflatten_params(baseline, flatten_params(child.net, include_alpha=False))
+    assert expected_layout(child, include_alpha=False) == layout
+    unflatten_params(baseline, flatten_params(child, include_alpha=False))
     data = generate_synthetic(
         DataSpec(kind="patches", n_samples=40, num_classes=3, image_size=6),
         np.random.default_rng(3),
     )
-    assert evaluate(child.net, data) == evaluate(baseline, data)
+    assert evaluate(child, data) == evaluate(baseline, data)
     # a fixed-path net's child keeps its path
-    assert derive_child(baseline).net.space == baseline.space
+    assert derive_child(baseline).space == baseline.space
 
 
 def test_accuracy_matches_hand_confusion_tally():
@@ -273,7 +273,7 @@ def test_history_and_child_shape():
     result = small_run(pool=3, k=2, rounds=3)
     assert [r.round_index for r in result.history] == [0, 1, 2]
     assert all(len(r.client_ids) == 2 for r in result.history)
-    assert len(result.child.selections) == 2
+    assert len(result.child.space.fixed_path) == 2
     assert 0.0 <= result.history[-1].test_acc <= 1.0
 
 
@@ -294,7 +294,7 @@ def test_baseline_mode_exchanges_weights_only():
     space = vector_space(fixed_path=(0, 1))
     result = small_run(space=space)
     assert not result.final_blob.has_alpha()
-    assert result.child.selections == (0, 1)  # indices in space.candidates
+    assert result.child.space.fixed_path == (0, 1)  # indices in space.candidates
     assert result.child.kinds == ("linear8", "identity")
 
 

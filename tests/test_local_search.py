@@ -156,11 +156,11 @@ def test_search_finds_capable_candidate_on_rings():
     unflatten_params(net, report.blob)
     child = derive_child(net)
 
-    assert child.selections in near_best
-    assert child.selections != worst_path
+    assert child.space.fixed_path in near_best
+    assert child.space.fixed_path != worst_path
     # the higher-capacity candidate wins on every block
-    assert child.selections == (1, 1)
-    logits = forward_logits(child.net, argmax_path(child.net), Tensor(shard.features))
+    assert child.space.fixed_path == (1, 1)
+    logits = forward_logits(child, argmax_path(child), Tensor(shard.features))
     assert float((logits.data.argmax(axis=1) == shard.labels).mean()) >= 0.95
 
 

@@ -17,15 +17,16 @@ from dfnas.errors import (
 from dfnas.supernet import (
     ChoiceEdge,
     Identity,
-    PathSample,
     SpaceConfig,
     alpha_gradient,
     argmax_path,
     build_supernet,
     derive_child,
+    describe_child,
     flatten_params,
     forward_logits,
     forward_path,
+    mask_gradient,
     prune_edges,
     sample_path,
     unflatten_params,
@@ -146,7 +147,7 @@ def test_sampling_saturated_alpha():
     rng = np.random.default_rng(1)
     counts = np.zeros(3)
     for _ in range(1000):
-        counts[sample_path(net, rng).selections[0]] += 1
+        counts[sample_path(net, rng)[0]] += 1
     assert counts[0] == 1000
 
 
@@ -160,14 +161,14 @@ def test_sampling_matches_softmax_chi_square():
     draws = 10_000
     counts = np.zeros(4)
     for _ in range(draws):
-        counts[sample_path(net, rng).selections[0]] += 1
+        counts[sample_path(net, rng)[0]] += 1
     stat = float(((counts - draws * probs) ** 2 / (draws * probs)).sum())
     assert stats.chi2.sf(stat, df=3) > 0.01
     # uniform case: each frequency within 0.02 of 0.25
     net.edges[0].alpha[:] = 0.0
     counts = np.zeros(4)
     for _ in range(draws):
-        counts[sample_path(net, rng).selections[0]] += 1
+        counts[sample_path(net, rng)[0]] += 1
     assert np.abs(counts / draws - 0.25).max() < 0.02
 
 
@@ -179,7 +180,7 @@ def test_sampling_a_fixed_path_draws_nothing():
     )
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    assert sample_path(net, rng).selections == (0, 0, 0)  # indices on the built edges
+    assert sample_path(net, rng) == (0, 0, 0)  # indices on the built edges
     assert rng.bit_generator.state == before
 
 
@@ -190,54 +191,61 @@ def test_forward_executes_exactly_one_candidate_per_block():
     space = small_image_space(blocks=5, candidates=("conv3", "conv5", "identity"))
     net = build_supernet(space)
     features, labels = batch_for(space)
-    path = sample_path(net, np.random.default_rng(0))
+    selections = sample_path(net, np.random.default_rng(0))
     net.counters.reset()
-    forward_path(net, path, features, labels)
+    forward_path(net, selections, features, labels)
     assert net.counters.candidate_executions == 5
 
 
-def test_forward_masks_do_not_change_the_loss():
+def test_forward_path_loss_matches_forward_logits():
     space = small_image_space(blocks=3)
     net = build_supernet(space)
     features, labels = batch_for(space)
-    path = sample_path(net, np.random.default_rng(2))
-    loss, _ = forward_path(net, path, features, labels)
-    logits = forward_logits(net, path.selections, features)
+    selections = sample_path(net, np.random.default_rng(2))
+    loss, _, _ = forward_path(net, selections, features, labels)
+    logits = forward_logits(net, selections, features)
     bare = tz.softmax_cross_entropy(logits, labels)
     assert abs(loss.item() - bare.item()) < 1e-12
 
 
-def test_mask_gradient_equals_replay_inner_product():
-    space = small_image_space(blocks=3, candidates=("conv3", "sep3"))
+VECTOR_SPACE = dict(candidates=("linear8", "identity"), input_shape=(5,), hidden_width=8)
+
+
+@pytest.mark.parametrize("overrides, selections", [
+    pytest.param({}, (1, 0, 2, 1), id="image-identity-after-stem"),
+    pytest.param({}, (0, 1, 1, 2), id="image-two-identities"),
+    pytest.param(VECTOR_SPACE, (1, 1, 0, 1), id="vector-identities-after-stem"),
+    pytest.param(VECTOR_SPACE, (0, 1, 1, 0), id="vector-two-identities"),
+])
+def test_mask_gradient_equals_replay_inner_product(overrides, selections):
+    base = dict(blocks=4, candidates=("conv3", "identity", "sep3"))
+    space = small_image_space(**{**base, **overrides})
     net = build_supernet(space)
     features, labels = batch_for(space, n=3, seed=9)
-    path = sample_path(net, np.random.default_rng(4))
-    loss, tape = forward_path(net, path, features, labels)
+    loss, tape, outputs = forward_path(net, selections, features, labels)
     tape.backward(loss)
-    got = [float(m.grad) for m in path.mask_scalars]
+    got = [mask_gradient(out) for out in outputs]
 
-    # replay oracle: same path, no masks; capture each block output and its
-    # gradient, then take the inner product
+    # replay oracle: same path with a unit mask on every block output, the
+    # DSNAS formulation; each mask's gradient is the signal for its block
     replay = Tape()
+    masks = [Tensor(np.array(1.0), requires_grad=True) for _ in net.edges]
     x = net.stem.forward(features, replay)
-    outputs = []
-    for edge, k in zip(net.edges, path.selections):
-        x = edge.candidates[k].forward(x, replay)
-        outputs.append(x)
+    for edge, k, m in zip(net.edges, selections, masks):
+        x = tz.scale(edge.candidates[k].forward(x, replay), m, replay)
     logits = net.head.forward(x, replay)
     replay.backward(tz.softmax_cross_entropy(logits, labels, replay))
-    for g, out in zip(got, outputs):
-        expect = float((out.grad * out.data).sum())
-        assert abs(g - expect) < 1e-12
+    for g, m in zip(got, masks):
+        assert abs(g - float(m.grad)) < 1e-12
 
 
 def test_forward_rejects_shape_mismatch():
     space = small_image_space(blocks=1)
     net = build_supernet(space)
-    path = sample_path(net, np.random.default_rng(0))
+    selections = sample_path(net, np.random.default_rng(0))
     bad = Tensor(np.zeros((2, 1, 5, 5)))
     with pytest.raises(DataError):
-        forward_path(net, path, bad, np.array([0, 1]))
+        forward_path(net, selections, bad, np.array([0, 1]))
 
 
 # --- alpha gradient ---
@@ -324,16 +332,38 @@ def test_derive_child_argmax_and_shift_invariance():
     for edge in net.edges:
         edge.alpha[:] = [0.1, 0.9, 0.3]
     child = derive_child(net)
-    assert child.selections == (1, 1, 1)
+    assert child.space.fixed_path == (1, 1, 1)
     for edge in net.edges:
         edge.alpha += 5.0
-    assert derive_child(net).selections == child.selections
+    assert derive_child(net).space.fixed_path == child.space.fixed_path
 
 
 def test_derive_child_ties_break_to_lowest_index():
     net = build_supernet(small_image_space(blocks=1, candidates=("conv3", "conv5")))
     net.edges[0].alpha[:] = [0.7, 0.7]
-    assert derive_child(net).selections == (0,)
+    assert derive_child(net).space.fixed_path == (0,)
+
+
+def test_child_kinds_match_the_pruned_argmax_path():
+    space = small_image_space(blocks=4, candidates=("conv3", "identity", "sep3", "conv5"))
+    net = build_supernet(space)
+    features, labels = batch_for(space, n=8, seed=4)
+    rng = np.random.default_rng(6)
+    for _ in range(6):  # a few search steps move every alpha
+        selections = sample_path(net, rng)
+        loss, tape, outputs = forward_path(net, selections, features, labels)
+        tape.backward(loss)
+        for edge, k, out in zip(net.edges, selections, outputs):
+            edge.alpha -= 0.5 * alpha_gradient(edge, k, mask_gradient(out))
+    assert prune_edges(net, float(np.median([e.alpha for e in net.edges]))) > 0
+    # clients keep training pruned candidates, so one can later top its block
+    b = next(i for i, e in enumerate(net.edges) if e.pruned.any())
+    dead = int(np.argmax(net.edges[b].pruned))
+    net.edges[b].alpha[dead] = net.edges[b].alpha.max() + 1.0
+    child = derive_child(net)
+    assert net.kinds == child.kinds
+    assert net.kinds[b] != space.candidates[dead]
+    assert child.kinds == tuple(space.candidates[i] for i in child.space.fixed_path)
 
 
 def test_child_forward_matches_argmax_supernet_path():
@@ -344,12 +374,8 @@ def test_child_forward_matches_argmax_supernet_path():
         edge.alpha[:] = rng.normal(size=3)
     features, labels = batch_for(space, n=5, seed=3)
     child = derive_child(net)
-    path = PathSample(
-        selections=child.selections,
-        mask_scalars=[Tensor(np.array(1.0), requires_grad=True) for _ in net.edges],
-    )
-    loss, _ = forward_path(net, path, features, labels)
-    child_logits = forward_logits(child.net, argmax_path(child.net), features)
+    loss, _, _ = forward_path(net, child.space.fixed_path, features, labels)
+    child_logits = forward_logits(child, argmax_path(child), features)
     child_loss = tz.softmax_cross_entropy(child_logits, labels)
     assert abs(loss.item() - child_loss.item()) < 1e-12
 
@@ -358,14 +384,14 @@ def test_child_weights_are_frozen_copies():
     space = small_image_space(blocks=1, candidates=("conv3",))
     net = build_supernet(space)
     child = derive_child(net)
-    before = child.net.edges[0].candidates[0].weight.data.copy()
+    before = child.edges[0].candidates[0].weight.data.copy()
     net.edges[0].candidates[0].weight.data += 1.0
-    assert np.array_equal(child.net.edges[0].candidates[0].weight.data, before)
+    assert np.array_equal(child.edges[0].candidates[0].weight.data, before)
 
 
 def test_child_description_lists_blocks():
     net = build_supernet(small_image_space(blocks=2))
-    text = derive_child(net).describe()
+    text = describe_child(derive_child(net))
     assert text.startswith("child-architecture v1")
     assert "block 0:" in text and "block 1:" in text
 
@@ -382,9 +408,9 @@ def test_step_cost_independent_of_candidate_count():
         for edge in net.edges:
             edge.alpha[0] = 1000.0  # force the shared first candidate
         features, labels = batch_for(space, n=2, seed=1)
-        path = sample_path(net, np.random.default_rng(0))
+        selections = sample_path(net, np.random.default_rng(0))
         net.counters.reset()
-        loss, tape = forward_path(net, path, features, labels)
+        loss, tape, _ = forward_path(net, selections, features, labels)
         tape.backward(loss)
         results.append((net.counters.candidate_executions, tape.live_tensors))
     assert results[0][0] == results[1][0] == results[2][0] == 3
