@@ -42,11 +42,10 @@ print("\n== one training step executes exactly one candidate per block ==")
 feats = Tensor(np.random.default_rng(2).normal(size=(8, 1, 8, 8)))
 labels = np.random.default_rng(3).integers(0, 4, size=8)
 selections = sample_path(net, rng)
-net.counters.reset()
 loss, tape, outputs = forward_path(net, selections, feats, labels)
 tape.backward(loss)
 print(f"sampled path {selections}, loss {loss.item():.4f}")
-print(f"candidate executions: {net.counters.candidate_executions} (== blocks)")
+print(f"candidate executions: {net.candidate_executions} (== blocks)")
 print(f"mask gradients: {[round(mask_gradient(out), 4) for out in outputs]}")
 
 print("\n== pruning and the derived child ==")

@@ -26,10 +26,10 @@ space = SpaceConfig(
 )
 net = build_supernet(space)
 config = LocalSearchConfig(
-    epochs=30, batch_size=16, lr_w=0.05, lr_alpha=0.02, momentum_w=0.9, seed=0
+    epochs=30, batch_size=16, lr_w=0.05, lr_alpha=0.02, momentum_w=0.9
 )
 print(f"shard: {len(shard)} samples, 2 rings; space: identity vs linear8 on 2 blocks")
-report = client_local_search(flatten_params(net), shard, space, config)
+report = client_local_search(flatten_params(net), shard, space, config, seed=0)
 
 print("\nepoch loss trajectory (every 5th):")
 for e in range(0, len(report.epoch_losses), 5):

@@ -9,12 +9,13 @@ reports every violation, not just the first, and a float key rejects NaN.
 `data_specs`, `space_config`, `federation_config` and `local_config` build the
 inputs of each layer by one rule: key `section.x` is field `x` of that
 section's layer config. Only the values no key holds (sample counts, the class
-count, the input shape, seeds and the baseline's fixed path) are named there.
+count, the input shape, the init seed and the baseline's path) are named there.
 """
 
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .data import DataSpec
@@ -178,8 +179,7 @@ def federation_config(config: ExperimentConfig) -> FederationConfig:
 
 
 def local_config(config: ExperimentConfig) -> LocalSearchConfig:
-    # `with_round` sets each client's seed and epoch offset
-    return _layer(LocalSearchConfig, config, "local", seed=0, epoch_offset=0)
+    return _layer(LocalSearchConfig, config, "local")
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
@@ -204,10 +204,14 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             problems.append(f"{key if key in KEY_TABLE else name} {complaint}")
     if config.partition_kind not in ("iid", "dirichlet"):
         problems.append(f"partition.kind must be iid or dirichlet, got {config.partition_kind!r}")
-    if config.partition_kind == "dirichlet" and config.partition_concentration <= 0:
-        problems.append(
-            f"partition.concentration must be > 0, got {config.partition_concentration}"
-        )
+    concentration = config.partition_concentration
+    if config.partition_kind == "dirichlet" and not 0 < concentration < math.inf:
+        problems.append(f"partition.concentration must be finite and > 0, got {concentration}")
+    for key in ("scenario", "output_dir"):  # free text: `config.used` must parse back to it
+        text = getattr(config, key)
+        if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+            problems.append(f"{key} must not hold '#' or a line break, nor start or end "
+                            f"with whitespace, got {text!r}")
     if config.mode not in ("dfnas", "baseline"):
         problems.append(f"mode must be dfnas or baseline, got {config.mode!r}")
     if config.mode == "baseline" and config.space_fixed_path is None:

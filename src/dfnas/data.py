@@ -11,6 +11,7 @@ Synthetic geometries stand in for image benchmarks at desk scale:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +82,12 @@ class DataSpec:
             found.append(("n_samples", f"must be >= 1, got {self.n_samples}"))
         if self.num_classes < 2:
             found.append(("num_classes", f"must be >= 2, got {self.num_classes}"))
-        if self.noise < 0:
-            found.append(("noise", f"must be >= 0, got {self.noise}"))
+        if not 0 <= self.noise < math.inf:
+            found.append(("noise", f"must be finite and >= 0, got {self.noise}"))
+        if self.kind == "patches" and self.image_channels < 1:
+            found.append(("image_channels", f"must be >= 1 for patches, got {self.image_channels}"))
+        if self.kind == "patches" and self.image_size < 1:
+            found.append(("image_size", f"must be >= 1 for patches, got {self.image_size}"))
         if self.kind == "blobs" and self.feature_dim < self.num_classes:
             found.append((
                 "feature_dim",

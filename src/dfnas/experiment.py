@@ -195,8 +195,8 @@ def rank_fixed_paths(
         sp = space_config(config, fixed_path=path)
         net = build_supernet(sp)
         blob = flatten_params(net, include_alpha=False)
-        cfg = replace(recipe, seed=derive_seed(config.master_seed, "ranking", *path))
-        report = client_local_search(blob, train, sp, cfg)
+        seed = derive_seed(config.master_seed, "ranking", *path)
+        report = client_local_search(blob, train, sp, recipe, seed=seed)
         unflatten_params(net, report.blob)
         acc, _ = evaluate(net, test)
         ranks.append(PathRank(path=path, test_acc=acc, final_loss=report.epoch_losses[-1]))

@@ -3,10 +3,12 @@
 Each round the server sends the current (w, alpha) blob to K selected clients,
 runs their local search in parallel, then replaces both the weights and the
 architecture parameters with the sample-weighted average of the clients'
-post-update values. Exactly one blob travels down and one up per selected
-client per round. Transport always goes through full serialization, so
-measured byte counts are the real wire cost. Aggregation order is canonical
-(ascending client id), making results independent of completion order.
+post-update values. A client's run is a pure function of (blob, shard, space,
+config, seed, first epoch); the server picks the last two. Exactly one blob
+travels down and one up per selected client per round. Transport always goes
+through full serialization, so measured byte counts are the real wire cost.
+Aggregation order is canonical (ascending client id), making results
+independent of completion order.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .blob import ParameterBlob, check_layout
 from .data import Dataset, Partition
 from .errors import ConfigurationError, DfnasError, raise_problems
-from .local_search import LocalSearchConfig, client_local_search, with_round
+from .local_search import LocalSearchConfig, client_local_search
 from .seeds import derive_seed, stream
 from .supernet import (
     SpaceConfig,
@@ -37,6 +39,7 @@ from .tensor import Tensor
 from . import tensor as tz
 
 WEIGHTING_MODES = ("uniform", "proportional")
+EVAL_BATCH = 256  # test rows per forward pass in `evaluate`
 
 
 @dataclass(frozen=True)
@@ -69,9 +72,6 @@ class FederationConfig:
         if self.workers < 1:
             found.append(("workers", f"must be >= 1, got {self.workers}"))
         return found
-
-    def validate(self) -> None:
-        raise_problems(self.problems())
 
 
 @dataclass
@@ -150,7 +150,7 @@ def aggregate(blobs: list[ParameterBlob], weights: list[float]) -> ParameterBlob
     return ParameterBlob(layout=blobs[0].layout, values=acc)
 
 
-def evaluate(net: Supernet, dataset: Dataset, batch_size: int = 256) -> tuple[float, float]:
+def evaluate(net: Supernet, dataset: Dataset) -> tuple[float, float]:
     """Accuracy and mean loss along `argmax_path(net)` (no sampling).
 
     A derived child is a fixed-path supernet, so this evaluates it the same way.
@@ -159,9 +159,9 @@ def evaluate(net: Supernet, dataset: Dataset, batch_size: int = 256) -> tuple[fl
     correct = 0
     loss_sum = 0.0
     n = len(dataset)
-    for start in range(0, n, batch_size):
-        feats = Tensor(dataset.features[start : start + batch_size])
-        labels = dataset.labels[start : start + batch_size]
+    for start in range(0, n, EVAL_BATCH):
+        feats = Tensor(dataset.features[start : start + EVAL_BATCH])
+        labels = dataset.labels[start : start + EVAL_BATCH]
         logits = forward_logits(net, selections, feats)
         correct += int((logits.data.argmax(axis=1) == labels).sum())
         loss_sum += tz.softmax_cross_entropy(logits, labels).item() * len(labels)
@@ -172,7 +172,6 @@ def evaluate(net: Supernet, dataset: Dataset, batch_size: int = 256) -> tuple[fl
 class FederationState:
     config: FederationConfig
     local: LocalSearchConfig
-    space: SpaceConfig
     shards: list[Dataset]
     test_set: Dataset
     net: Supernet
@@ -180,15 +179,14 @@ class FederationState:
 
 
 def _run_client(
-    blob_bytes: bytes,
-    shard: Dataset,
-    space: SpaceConfig,
-    config: LocalSearchConfig,
-):
+    blob_bytes: bytes, shard: Dataset, space: SpaceConfig, config: LocalSearchConfig,
+    *, seed: int, first_epoch: int,
+) -> tuple[bytes, int]:
+    """The client's reply bytes and its candidate executions."""
     # serialization round trip is mandatory on both hops
     blob = ParameterBlob.from_bytes(blob_bytes)
-    report = client_local_search(blob, shard, space, config)
-    return report.blob.to_bytes(), report
+    report = client_local_search(blob, shard, space, config, seed=seed, first_epoch=first_epoch)
+    return report.blob.to_bytes(), report.candidate_executions
 
 
 def run_round(state: FederationState, round_index: int) -> RoundRecord:
@@ -200,12 +198,16 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
     payload = state.global_blob.to_bytes()
     bytes_down = len(payload) * len(selected)
 
-    def client_task(cid: int):
-        client_cfg = with_round(
-            state.local, seed=derive_seed(cfg.master_seed, "client", cid), round_index=round_index
-        )
+    def client_task(cid: int) -> tuple[int, ParameterBlob, int]:
+        # each round continues the client's epoch stream where the last round ended
         try:
-            return _run_client(payload, state.shards[cid], state.space, client_cfg)
+            raw, executions = _run_client(
+                payload, state.shards[cid], state.net.space, state.local,
+                seed=derive_seed(cfg.master_seed, "client", cid),
+                first_epoch=round_index * state.local.epochs,
+            )
+            # decoded on arrival, so a round holds each reply once
+            return len(raw), ParameterBlob.from_bytes(raw), executions
         except DfnasError as err:
             raise ClientFailure(round_index, cid, err) from err
 
@@ -215,11 +217,11 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
             outputs = list(pool.map(client_task, selected))
     else:
         outputs = list(map(client_task, selected))
-    bytes_up = sum(len(raw) for raw, _ in outputs)
+    bytes_up = sum(n for n, _, _ in outputs)
 
     sizes = [state.shards[cid].features.shape[0] for cid in selected]
     weights = client_weights(cfg.weighting, sizes)
-    blobs_by_id = {cid: ParameterBlob.from_bytes(raw) for cid, (raw, _) in zip(selected, outputs)}
+    blobs_by_id = {cid: blob for cid, (_, blob, _) in zip(selected, outputs)}
     weights_by_id = dict(zip(selected, weights))
     aggregated = aggregate_by_client(blobs_by_id, weights_by_id)
 
@@ -231,7 +233,7 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
         prune_edges(state.net, cfg.server_alpha_threshold)
 
     test_acc, test_loss = evaluate(state.net, state.test_set)
-    work_units = sum(r.candidate_executions for _, r in outputs) + len(state.test_set)
+    work_units = sum(executions for _, _, executions in outputs) + len(state.test_set)
 
     return RoundRecord(
         round_index=round_index,
@@ -260,8 +262,8 @@ def run_federated_search(
     A space with a `fixed_path` (baseline mode) has one candidate per block,
     and only weights are exchanged.
     """
-    fed.validate()
-    local.validate()
+    raise_problems(fed.problems())
+    raise_problems(local.problems())
     if partition.num_clients != fed.client_pool:
         raise ConfigurationError(
             f"partition has {partition.num_clients} clients, pool is {fed.client_pool}"
@@ -272,7 +274,6 @@ def run_federated_search(
     state = FederationState(
         config=fed,
         local=local,
-        space=space,
         shards=shards,
         test_set=test,
         net=net,

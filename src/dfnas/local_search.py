@@ -3,14 +3,15 @@
 Each batch: sample a path, run only that path forward, backpropagate, update
 the network weights by SGD, then update every block's alpha with the
 score-function rule scaled by its mask gradient, read off the block output.
-The whole run is a pure function of (parameter blob, shard, config), so
-clients can execute in parallel without sharing state. Pruning is left to
-the server.
+The whole run is a pure function of (parameter blob, shard, space, config,
+seed, first epoch), so clients can execute in parallel without sharing state.
+Pruning is left to the server.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +39,6 @@ class LocalSearchConfig:
     lr_w: float = 0.05
     lr_alpha: float = 0.003
     momentum_w: float = 0.9
-    seed: int = 0
-    epoch_offset: int = 0  # absolute index of this run's first epoch
     clip_norm: float | None = None
 
     def problems(self) -> list[tuple[str, str]]:
@@ -49,18 +48,14 @@ class LocalSearchConfig:
             found.append(("epochs", f"must be >= 1, got {self.epochs}"))
         if self.batch_size < 1:
             found.append(("batch_size", f"must be >= 1, got {self.batch_size}"))
-        if self.lr_w < 0:
-            found.append(("lr_w", f"must be >= 0, got {self.lr_w}"))
-        if self.lr_alpha < 0:
-            found.append(("lr_alpha", f"must be >= 0, got {self.lr_alpha}"))
+        for name, lr in (("lr_w", self.lr_w), ("lr_alpha", self.lr_alpha)):
+            if not 0 <= lr < math.inf:
+                found.append((name, f"must be finite and >= 0, got {lr}"))
         if not 0.0 <= self.momentum_w < 1.0:
             found.append(("momentum_w", f"must be in [0, 1), got {self.momentum_w}"))
         if self.clip_norm is not None and self.clip_norm <= 0:
             found.append(("clip_norm", f"must be > 0, got {self.clip_norm}"))
         return found
-
-    def validate(self) -> None:
-        raise_problems(self.problems())
 
 
 @dataclass
@@ -72,31 +67,30 @@ class LocalSearchReport:
 
 
 def client_local_search(
-    initial: ParameterBlob,
-    shard: Dataset,
-    space: SpaceConfig,
-    config: LocalSearchConfig,
+    initial: ParameterBlob, shard: Dataset, space: SpaceConfig, config: LocalSearchConfig,
+    *, seed: int, first_epoch: int = 0,
 ) -> LocalSearchReport:
     """Run the local search loop and return the updated parameters.
+
+    Epoch e shuffles and samples from `stream(seed, "epoch", first_epoch + e)`.
 
     Architecture updates happen only when the incoming blob carries alpha
     records; a weights-only blob trains a fixed architecture (plain SGD).
     Never touches any data beyond `shard`.
     """
-    config.validate()
+    raise_problems(config.problems())
 
     net = build_supernet(space)
     unflatten_params(net, initial)
     search_mode = initial.has_alpha()
 
     optimizer = SGD(net.parameters(), lr=config.lr_w, momentum=config.momentum_w)
-    net.counters.reset()
     epoch_losses: list[float] = []
     total_batches = 0
     n = len(shard)
 
     for epoch in range(config.epochs):
-        rng = stream(config.seed, "epoch", config.epoch_offset + epoch)
+        rng = stream(seed, "epoch", first_epoch + epoch)
         order = rng.permutation(n)
         losses = []
         for start in range(0, n, config.batch_size):
@@ -109,10 +103,10 @@ def client_local_search(
             tape.backward(loss)
 
             if config.clip_norm is not None:
-                norm = global_grad_norm(net.parameters())
+                norm = global_grad_norm(optimizer.params)
                 if norm > config.clip_norm:
                     factor = config.clip_norm / norm
-                    for p in net.parameters():
+                    for p in optimizer.params:
                         if p.grad is not None:
                             p.grad *= factor
             optimizer.step()  # only the sampled path has gradients
@@ -129,14 +123,7 @@ def client_local_search(
     return LocalSearchReport(
         blob=flatten_params(net, include_alpha=search_mode),
         epoch_losses=epoch_losses,
-        candidate_executions=net.counters.candidate_executions,
+        candidate_executions=net.candidate_executions,
         batches=total_batches,
     )
 
-
-def with_round(config: LocalSearchConfig, seed: int, round_index: int) -> LocalSearchConfig:
-    """Client config for one federated round: same stream family, epoch
-    offset advanced so consecutive rounds continue the centralized schedule."""
-    return replace(
-        config, seed=seed, epoch_offset=round_index * config.epochs
-    )

@@ -189,16 +189,6 @@ class Affine(Layer):
 # the supernet proper
 
 
-@dataclass
-class Counters:
-    """Instrumentation proving the single-path cost of each training step."""
-
-    candidate_executions: int = 0
-
-    def reset(self) -> None:
-        self.candidate_executions = 0
-
-
 @dataclass(frozen=True)
 class SpaceConfig:
     """Search-space description; fully determines network layout and init."""
@@ -288,15 +278,7 @@ class Supernet:
         self.stem = stem
         self.edges = edges
         self.head = head
-        self.counters = Counters()
-
-    @property
-    def num_classes(self) -> int:
-        return self.space.num_classes
-
-    @property
-    def input_shape(self) -> tuple[int, ...]:
-        return self.space.input_shape
+        self.candidate_executions = 0  # forward_path's count: the single-path cost
 
     @property
     def kinds(self) -> tuple[str, ...]:
@@ -390,10 +372,10 @@ def forward_path(
     gradient a unit mask on that output would receive. An identity block's
     output is its input tensor, so it shares that gradient too.
     """
-    if features.shape[1:] != net.input_shape:
+    if features.shape[1:] != net.space.input_shape:
         raise DataError(
             f"batch shape {features.shape} does not match input shape "
-            f"{net.input_shape}"
+            f"{net.space.input_shape}"
         )
     tape = Tape()
     x = net.stem.forward(features, tape)
@@ -401,7 +383,7 @@ def forward_path(
     for edge, idx in zip(net.edges, selections):
         x = edge.candidates[idx].forward(x, tape)
         outputs.append(x)
-        net.counters.candidate_executions += 1
+        net.candidate_executions += 1
     logits = net.head.forward(x, tape)
     loss = tz.softmax_cross_entropy(logits, labels, tape)
     return loss, tape, outputs
@@ -481,8 +463,8 @@ def describe_child(child: Supernet) -> str:
     """The `child.txt` text: shape, size and each block's candidate in `space.candidates`."""
     lines = [
         "child-architecture v1",
-        f"input_shape = {'x'.join(str(d) for d in child.input_shape)}",
-        f"num_classes = {child.num_classes}",
+        f"input_shape = {'x'.join(str(d) for d in child.space.input_shape)}",
+        f"num_classes = {child.space.num_classes}",
         f"blocks = {len(child.edges)}",
         f"params = {sum(t.size for t in child.parameters())}",
     ]

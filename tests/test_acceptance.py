@@ -22,7 +22,7 @@ from dfnas.config import ExperimentConfig, override
 from dfnas.data import DataSpec, Partition, dirichlet_split, generate_synthetic
 from dfnas.experiment import build_datasets, rank_fixed_paths, run_experiment
 from dfnas.federation import FederationConfig, aggregate, aggregate_by_client, run_federated_search
-from dfnas.local_search import LocalSearchConfig, client_local_search, with_round
+from dfnas.local_search import LocalSearchConfig, client_local_search
 from dfnas.seeds import derive_seed
 from dfnas.supernet import (
     SpaceConfig,
@@ -286,11 +286,10 @@ def test_criterion_03_single_path_cost():
         feats = Tensor(rng.normal(size=(2, 1, 4, 4)))
         labels = rng.integers(0, 3, size=2)
         selections = sample_path(net, rng)
-        net.counters.reset()
         loss, tape, _ = forward_path(net, selections, feats, labels)
         tape.backward(loss)
-        assert net.counters.candidate_executions == 3  # == B, never B*m
-        per_m[m] = (net.counters.candidate_executions, tape.live_tensors)
+        assert net.candidate_executions == 3  # == B, never B*m
+        per_m[m] = (net.candidate_executions, tape.live_tensors)
     assert per_m[2] == per_m[3] == per_m[4]
     report(f"criterion 3 PASS: executed candidates == B and live tensors {per_m[2][1]} "
            f"identical across m in {{2,3,4}}")
@@ -330,15 +329,15 @@ def test_criterion_04_degenerate_federation_bit_identity():
     blob = flatten_params(build_supernet(space))
     current = blob
     for t in range(rounds):
-        cfg = with_round(local, seed=client_seed, round_index=t)
-        current = client_local_search(current, train, space, cfg).blob
+        current = client_local_search(current, train, space, local, seed=client_seed,
+                                      first_epoch=t * epochs).blob
         assert current.to_bytes() == round_blobs[t]
 
     long_cfg = LocalSearchConfig(
         epochs=rounds * epochs, batch_size=16, lr_w=0.05, lr_alpha=0.01,
-        momentum_w=0.0, seed=client_seed,
+        momentum_w=0.0,
     )
-    long_blob = client_local_search(blob, train, space, long_cfg).blob
+    long_blob = client_local_search(blob, train, space, long_cfg, seed=client_seed).blob
     assert long_blob.to_bytes() == round_blobs[-1]
     report("criterion 4 PASS: 1-client federation bit-identical to centralized "
            f"{rounds * epochs}-epoch run at every round boundary")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -131,16 +131,19 @@ def valid_configs(draw):
     fixed_path = draw(path.map(tuple) if mode == "baseline" else st.none() | path.map(tuple))
     pool = draw(st.integers(1, 16))
     positive = st.floats(min_value=0.0, exclude_min=True)
+    finite = st.floats(min_value=0.0, allow_infinity=False)
     return ExperimentConfig(
         scenario=draw(_NAMES), master_seed=draw(st.integers(0, 2**63)), mode=mode,
         output_dir=draw(_NAMES),
         data_kind=kind, data_train_samples=draw(st.integers(1, 10**6)),
         data_test_samples=draw(st.integers(1, 10**6)), data_classes=classes,
-        data_noise=draw(st.floats(min_value=0.0)),
+        data_noise=draw(finite),
         data_feature_dim=draw(st.integers(classes if kind == "blobs" else 2, 64)),
         data_image_channels=draw(st.integers(1, 4)), data_image_size=draw(st.integers(1, 16)),
         partition_kind=draw(st.sampled_from(["iid", "dirichlet"])),
-        partition_concentration=draw(positive),
+        partition_concentration=draw(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        ),
         space_blocks=blocks, space_candidates=candidates, space_channels=channels,
         space_hidden_width=hidden, space_fixed_path=fixed_path,
         federation_rounds=draw(st.integers(1, 1000)), federation_client_pool=pool,
@@ -149,7 +152,7 @@ def valid_configs(draw):
         federation_server_alpha_threshold=draw(st.floats(allow_nan=False)),
         federation_workers=draw(st.integers(1, 8)), federation_checkpoints=draw(st.booleans()),
         local_epochs=draw(st.integers(1, 100)), local_batch_size=draw(st.integers(1, 512)),
-        local_lr_w=draw(st.floats(min_value=0.0)), local_lr_alpha=draw(st.floats(min_value=0.0)),
+        local_lr_w=draw(finite), local_lr_alpha=draw(finite),
         local_momentum_w=draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
         local_clip_norm=draw(st.none() | positive),
     )
@@ -160,6 +163,25 @@ def valid_configs(draw):
 def test_any_valid_config_round_trips(config):
     assert validate_config(config) == []
     assert parse_config_text(serialize_config(config)) == config
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["scenario", "output_dir"]), st.text())
+def test_free_text_key_is_rejected_or_round_trips(key, text):
+    config = replace(parse_config_text(MINIMAL), **{key: text})
+    problems = validate_config(config)
+    if problems:
+        assert any(p.startswith(f"{key} ") for p in problems), problems
+    else:
+        assert parse_config_text(serialize_config(config)) == config
+
+
+def test_out_override_that_would_not_round_trip_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.conf"
+    path.write_text(MINIMAL + "federation.rounds = 1\ndata.train_samples = 64\n", encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "runs" / "#1")]) == 2
+    assert "output_dir must not hold '#'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_round_trip_preserves_infinity_and_none():
@@ -196,6 +218,31 @@ def test_space_widths_must_be_positive(key):
     assert f"{key} must be >= 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("key", [
+    "data.noise", "local.lr_w", "local.lr_alpha", "partition.concentration",
+])
+def test_inf_is_rejected_where_it_breaks_the_run(key, tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match=f"{key} must be finite"):
+        parse_config_text(f"{key} = inf\n")
+    path = tmp_path / "inf.conf"
+    path.write_text(f"{key} = inf\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", [
+    "data.image_size = 0", "data.image_size = -3", "data.image_channels = 0",
+])
+def test_image_shape_keys_must_be_positive(setting, tmp_path, capsys):
+    key = setting.split(" ")[0]
+    with pytest.raises(ConfigurationError, match=f"{key} must be >= 1"):
+        parse_config_text(setting + "\n")
+    path = tmp_path / "shape.conf"
+    path.write_text(setting + "\n", encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert f"{key} must be >= 1" in capsys.readouterr().err
+
+
 FLOAT_KEYS = [
     key for key, (_, parser) in KEY_TABLE.items()
     if parser in (_PARSERS["float"], _PARSERS["float | None"])
@@ -219,8 +266,8 @@ def test_layer_field_with_no_key_and_no_derived_value_fails():
         unkeyed: int = 0
 
     with pytest.raises(AttributeError, match="local_unkeyed"):
-        _layer(Extended, ExperimentConfig(), "local", seed=0, epoch_offset=0)
-    assert _layer(Extended, ExperimentConfig(), "local", seed=0, epoch_offset=0, unkeyed=1)
+        _layer(Extended, ExperimentConfig(), "local")
+    assert _layer(Extended, ExperimentConfig(), "local", unkeyed=1)
 
 
 def test_readme_config_block_lists_the_defaults():

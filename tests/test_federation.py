@@ -3,6 +3,7 @@ degenerate-federation identity."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,18 +11,20 @@ import pytest
 
 from conftest import make_blob
 from dfnas.data import DataSpec, Dataset, Partition, generate_synthetic, iid_split
-from dfnas.errors import ConfigurationError, SerializationError
+from dfnas.errors import ConfigurationError, SerializationError, raise_problems
 from dfnas.federation import (
     ClientFailure,
     FederationConfig,
+    FederationState,
     aggregate,
     aggregate_by_client,
     client_weights,
     evaluate,
     run_federated_search,
+    run_round,
     select_clients,
 )
-from dfnas.local_search import LocalSearchConfig, client_local_search, with_round
+from dfnas.local_search import LocalSearchConfig, client_local_search
 from dfnas.seeds import derive_seed, stream
 from dfnas.supernet import (
     SpaceConfig,
@@ -143,8 +146,8 @@ def test_symmetry_identical_clients_aggregate_to_single_result():
     net = build_supernet(space)
     blob = flatten_params(net)
     shard = blob_data(n=40)
-    config = LocalSearchConfig(epochs=1, batch_size=16, lr_w=0.05, lr_alpha=0.01, seed=3)
-    reports = [client_local_search(blob, shard, space, config) for _ in range(3)]
+    config = LocalSearchConfig(epochs=1, batch_size=16, lr_w=0.05, lr_alpha=0.01)
+    reports = [client_local_search(blob, shard, space, config, seed=3) for _ in range(3)]
     out = aggregate([r.blob for r in reports], [1 / 3] * 3)
     assert np.abs(out.values - reports[0].blob.values).max() < 1e-12
 
@@ -254,9 +257,33 @@ def test_single_client_round_returns_that_clients_blob():
         train, test, partition, space, fed, local,
         round_callback=lambda rec, blob: blobs.append(blob),
     )
-    config = with_round(local, seed=derive_seed(0, "client", 0), round_index=0)
-    report = client_local_search(flatten_params(build_supernet(space)), train, space, config)
+    report = client_local_search(flatten_params(build_supernet(space)), train, space, local,
+                                 seed=derive_seed(0, "client", 0), first_epoch=0)
     assert blobs[0].to_bytes() == report.blob.to_bytes()
+
+
+def test_round_holds_each_client_reply_once():
+    """A finished reply is kept only as its decoded blob, so a 16-client round
+    peaks well below two blobs per client (holding the report, the bytes and
+    the decoded blob of every reply until the round ends peaks above three)."""
+    clients = 16
+    train = blob_data(n=16 * clients, seed=3)
+    net = build_supernet(vector_space(candidates=("linear64", "identity"), hidden_width=64))
+    blob = flatten_params(net)
+    partition = iid_split(train, clients, stream(0, "partition"))
+    state = FederationState(
+        config=FederationConfig(rounds=1, client_pool=clients, clients_per_round=clients),
+        local=LocalSearchConfig(epochs=1, batch_size=16),
+        shards=[train.subset(ix) for ix in partition.client_indices],
+        test_set=blob_data(n=32, seed=4), net=net, global_blob=blob,
+    )
+    tracemalloc.start()
+    try:
+        run_round(state, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * clients * blob.nbytes()
 
 
 def test_round_byte_accounting():
@@ -329,12 +356,12 @@ def test_pool_partition_size_must_match():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        FederationConfig(rounds=0, client_pool=2, clients_per_round=1).validate()
+        raise_problems(FederationConfig(rounds=0, client_pool=2, clients_per_round=1).problems())
     with pytest.raises(ConfigurationError):
-        FederationConfig(rounds=1, client_pool=2, clients_per_round=3).validate()
+        raise_problems(FederationConfig(rounds=1, client_pool=2, clients_per_round=3).problems())
     with pytest.raises(ConfigurationError):
-        FederationConfig(rounds=1, client_pool=2, clients_per_round=1,
-                         weighting="median").validate()
+        raise_problems(FederationConfig(rounds=1, client_pool=2, clients_per_round=1,
+                                        weighting="median").problems())
 
 
 def test_server_pruning_constrains_child_derivation():
@@ -398,17 +425,18 @@ def test_one_client_federation_equals_centralized_run():
     segmented = []
     current = blob
     for t in range(rounds):
-        cfg = with_round(local, seed=client_seed, round_index=t)
-        current = client_local_search(current, train, space, cfg).blob
+        current = client_local_search(current, train, space, local, seed=client_seed,
+                                      first_epoch=t * epochs).blob
         segmented.append(current.to_bytes())
     assert segmented == round_blobs
 
     # one long run: same endpoint as the segmented schedule
     long_cfg = LocalSearchConfig(
         epochs=rounds * epochs, batch_size=16, lr_w=0.05, lr_alpha=0.01,
-        momentum_w=0.0, seed=client_seed, epoch_offset=0,
+        momentum_w=0.0,
     )
-    long_report = client_local_search(blob, train, space, long_cfg)
+    long_report = client_local_search(blob, train, space, long_cfg, seed=client_seed,
+                                      first_epoch=0)
     assert long_report.blob.to_bytes() == round_blobs[-1]
 
 
@@ -431,6 +459,6 @@ def test_one_client_federation_matches_segmented_run_with_momentum():
     client_seed = derive_seed(9, "client", 0)
     current = flatten_params(build_supernet(space))
     for t in range(2):
-        cfg = with_round(local, seed=client_seed, round_index=t)
-        current = client_local_search(current, train, space, cfg).blob
+        current = client_local_search(current, train, space, local, seed=client_seed,
+                                      first_epoch=t * local.epochs).blob
         assert current.to_bytes() == round_blobs[t]

@@ -8,8 +8,8 @@ from conftest import named_arrays
 
 from dfnas import tensor as tz
 from dfnas.data import DataSpec, Dataset, generate_synthetic
-from dfnas.errors import ConfigurationError, DataError, NumericalError
-from dfnas.local_search import LocalSearchConfig, client_local_search, with_round
+from dfnas.errors import ConfigurationError, DataError, NumericalError, raise_problems
+from dfnas.local_search import LocalSearchConfig, client_local_search
 from dfnas.seeds import stream
 from dfnas.supernet import (
     SpaceConfig,
@@ -49,7 +49,7 @@ def test_zero_learning_rates_leave_blob_bit_identical():
     net.edges[0].alpha[:] = [0.3, -0.4]
     blob = flatten_params(net)
     config = LocalSearchConfig(epochs=2, batch_size=16, lr_w=0.0, lr_alpha=0.0, momentum_w=0.0)
-    report = client_local_search(blob, blob_shard(), space, config)
+    report = client_local_search(blob, blob_shard(), space, config, seed=0)
     assert report.blob.to_bytes() == blob.to_bytes()
 
 
@@ -60,9 +60,9 @@ def test_degenerate_supernet_equals_plain_sgd_oracle():
     blob = flatten_params(net)
     shard = blob_shard(n=48)
     config = LocalSearchConfig(
-        epochs=4, batch_size=16, lr_w=0.05, lr_alpha=0.003, momentum_w=0.9, seed=11
+        epochs=4, batch_size=16, lr_w=0.05, lr_alpha=0.003, momentum_w=0.9
     )
-    report = client_local_search(blob, shard, space, config)
+    report = client_local_search(blob, shard, space, config, seed=11)
 
     # oracle: plain SGD over the same six tensors, no supernet machinery
     params = {
@@ -137,8 +137,9 @@ def test_search_finds_capable_candidate_on_rings():
         sp = make_space(fixed=path)
         net = build_supernet(sp)
         cfg = LocalSearchConfig(epochs=30, batch_size=16, lr_w=0.05, lr_alpha=0.0,
-                                momentum_w=0.9, seed=5)
-        report = client_local_search(flatten_params(net, include_alpha=False), shard, sp, cfg)
+                                momentum_w=0.9)
+        report = client_local_search(flatten_params(net, include_alpha=False), shard, sp, cfg,
+                                     seed=5)
         unflatten_params(net, report.blob)
         oracle_acc[path] = train_accuracy(net)
 
@@ -151,8 +152,8 @@ def test_search_finds_capable_candidate_on_rings():
     space = make_space()
     net = build_supernet(space)
     cfg = LocalSearchConfig(epochs=30, batch_size=16, lr_w=0.05, lr_alpha=0.02,
-                            momentum_w=0.9, seed=0)
-    report = client_local_search(flatten_params(net), shard, space, cfg)
+                            momentum_w=0.9)
+    report = client_local_search(flatten_params(net), shard, space, cfg, seed=0)
     unflatten_params(net, report.blob)
     child = derive_child(net)
 
@@ -170,9 +171,9 @@ def test_report_is_deterministic_and_counters_consistent():
     blob = flatten_params(net)
     shard = blob_shard(n=50)
     config = LocalSearchConfig(epochs=2, batch_size=16, lr_w=0.05, lr_alpha=0.01,
-                               momentum_w=0.9, seed=7)
-    a = client_local_search(blob, shard, space, config)
-    b = client_local_search(blob, shard, space, config)
+                               momentum_w=0.9)
+    a = client_local_search(blob, shard, space, config, seed=7)
+    b = client_local_search(blob, shard, space, config, seed=7)
     assert a.blob.to_bytes() == b.blob.to_bytes()
     assert a.epoch_losses == b.epoch_losses
     # 50 samples at batch 16 -> 4 batches per epoch, 2 epochs, 3 blocks each
@@ -188,8 +189,8 @@ def test_loss_decreases_in_expectation_over_20_seeds():
         net = build_supernet(space)
         blob = flatten_params(net)
         config = LocalSearchConfig(epochs=3, batch_size=16, lr_w=0.05, lr_alpha=0.003,
-                                   momentum_w=0.9, seed=seed)
-        report = client_local_search(blob, shard, space, config)
+                                   momentum_w=0.9)
+        report = client_local_search(blob, shard, space, config, seed=seed)
         first.append(report.epoch_losses[0])
         last.append(report.epoch_losses[-1])
     assert np.mean(last) < np.mean(first)
@@ -201,7 +202,7 @@ def test_weights_only_blob_trains_fixed_architecture():
     net.edges[0].alpha[:] = 0.0
     blob = flatten_params(net, include_alpha=False)
     config = LocalSearchConfig(epochs=1, batch_size=16, lr_w=0.05, momentum_w=0.0)
-    report = client_local_search(blob, blob_shard(), space, config)
+    report = client_local_search(blob, blob_shard(), space, config, seed=0)
     assert not report.blob.has_alpha()
 
 
@@ -222,24 +223,16 @@ def test_numerical_blowup_aborts_with_error():
     config = LocalSearchConfig(epochs=1, batch_size=4, lr_w=0.05)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError):
-            client_local_search(blob, huge, space, config)
+            client_local_search(blob, huge, space, config, seed=0)
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        LocalSearchConfig(epochs=0).validate()
+        raise_problems(LocalSearchConfig(epochs=0).problems())
     with pytest.raises(ConfigurationError):
-        LocalSearchConfig(momentum_w=1.0).validate()
+        raise_problems(LocalSearchConfig(momentum_w=1.0).problems())
     with pytest.raises(ConfigurationError):
-        LocalSearchConfig(clip_norm=0.0).validate()
-
-
-def test_with_round_advances_epoch_offset():
-    base = LocalSearchConfig(epochs=5, seed=0)
-    cfg = with_round(base, seed=42, round_index=3)
-    assert cfg.seed == 42
-    assert cfg.epoch_offset == 15
-    assert cfg.epochs == 5
+        raise_problems(LocalSearchConfig(clip_norm=0.0).problems())
 
 
 def test_clip_norm_limits_update_magnitude():
@@ -248,11 +241,11 @@ def test_clip_norm_limits_update_magnitude():
     blob = flatten_params(net)
     shard = blob_shard(n=32, noise=0.0)
     free = client_local_search(
-        blob, shard, space, LocalSearchConfig(epochs=1, batch_size=8, lr_w=0.5, seed=3)
+        blob, shard, space, LocalSearchConfig(epochs=1, batch_size=8, lr_w=0.5), seed=3
     )
     clipped = client_local_search(
         blob, shard, space,
-        LocalSearchConfig(epochs=1, batch_size=8, lr_w=0.5, seed=3, clip_norm=1e-3),
+        LocalSearchConfig(epochs=1, batch_size=8, lr_w=0.5, clip_norm=1e-3), seed=3,
     )
 
     def total_drift(report):

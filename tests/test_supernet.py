@@ -192,9 +192,8 @@ def test_forward_executes_exactly_one_candidate_per_block():
     net = build_supernet(space)
     features, labels = batch_for(space)
     selections = sample_path(net, np.random.default_rng(0))
-    net.counters.reset()
     forward_path(net, selections, features, labels)
-    assert net.counters.candidate_executions == 5
+    assert net.candidate_executions == 5
 
 
 def test_forward_path_loss_matches_forward_logits():
@@ -409,10 +408,9 @@ def test_step_cost_independent_of_candidate_count():
             edge.alpha[0] = 1000.0  # force the shared first candidate
         features, labels = batch_for(space, n=2, seed=1)
         selections = sample_path(net, np.random.default_rng(0))
-        net.counters.reset()
         loss, tape, _ = forward_path(net, selections, features, labels)
         tape.backward(loss)
-        results.append((net.counters.candidate_executions, tape.live_tensors))
+        results.append((net.candidate_executions, tape.live_tensors))
     assert results[0][0] == results[1][0] == results[2][0] == 3
     assert results[0][1] == results[1][1] == results[2][1]
 
