@@ -12,7 +12,7 @@ Synthetic geometries stand in for image benchmarks at desk scale:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,7 +168,7 @@ class Partition:
     """Disjoint per-client index lists covering the parent dataset exactly."""
 
     client_indices: list[np.ndarray]
-    parent_size: int = field(default=0)
+    parent_size: int
 
     def __post_init__(self):
         self.client_indices = [np.asarray(ix, dtype=np.int64) for ix in self.client_indices]
@@ -177,8 +177,6 @@ class Partition:
             if self.client_indices
             else np.empty(0, dtype=np.int64)
         )
-        if self.parent_size == 0:
-            self.parent_size = int(merged.size)
         uniq = np.unique(merged)
         if uniq.size != merged.size:
             raise DataError("partition assigns a sample to more than one client")
@@ -220,33 +218,32 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+DIRICHLET_DRAWS = 10  # partitions drawn before an empty client is an error
+
+
 def dirichlet_split(
     dataset: Dataset,
     num_clients: int,
     concentration: float,
     rng: np.random.Generator,
-    max_retries: int = 10,
 ) -> Partition:
     """Class-skewed shards: per class, client proportions drawn from a
     symmetric Dirichlet, allocated by largest-remainder rounding.
 
-    Redraws (up to `max_retries`) if some client ends up with zero samples.
+    Redraws, up to `DIRICHLET_DRAWS` draws in all, while some client gets no samples.
     """
     if num_clients < 1:
         raise ConfigurationError(f"num_clients must be >= 1, got {num_clients}")
     if concentration <= 0:
         raise ConfigurationError(f"concentration must be > 0, got {concentration}")
 
-    for _ in range(max_retries):
+    for _ in range(DIRICHLET_DRAWS):
         shards: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
         for c in range(dataset.num_classes):
             class_idx = np.nonzero(dataset.labels == c)[0]
             if class_idx.size == 0:
                 continue
-            if num_clients == 1:
-                proportions = np.ones(1)
-            else:
-                proportions = rng.dirichlet(np.full(num_clients, concentration))
+            proportions = rng.dirichlet(np.full(num_clients, concentration))
             counts = _largest_remainder(proportions, class_idx.size)
             bounds = np.concatenate([[0], np.cumsum(counts)])
             for k in range(num_clients):
@@ -258,6 +255,6 @@ def dirichlet_split(
         if all(ix.size > 0 for ix in client_indices):
             return Partition(client_indices=client_indices, parent_size=len(dataset))
     raise DataError(
-        f"dirichlet partition left a client empty after {max_retries} draws "
+        f"dirichlet partition left a client empty after {DIRICHLET_DRAWS} draws "
         f"(K={num_clients}, concentration={concentration})"
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, replace
@@ -77,7 +78,7 @@ class ExperimentArtifacts:
     elapsed_s: float
 
 
-def run_experiment(config: ExperimentConfig, quiet: bool = False) -> ExperimentArtifacts:
+def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
     started = time.perf_counter()
     out_dir = Path(config.resolved_output_dir())
     with writing(out_dir):
@@ -112,12 +113,11 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> ExperimentA
     elapsed = time.perf_counter() - started
     final = result.history[-1]
     total_bytes = sum(r.bytes_up + r.bytes_down for r in result.history)
-    if not quiet:
-        print(
-            f"{config.scenario}: {config.mode} finished {fed.rounds} rounds, "
-            f"final_acc={final.test_acc:.4f}, total_bytes={total_bytes}, "
-            f"wall={elapsed:.1f}s -> {metrics_path}"
-        )
+    print(
+        f"{config.scenario}: {config.mode} finished {fed.rounds} rounds, "
+        f"final_acc={final.test_acc:.4f}, total_bytes={total_bytes}, "
+        f"wall={elapsed:.1f}s -> {metrics_path}"
+    )
     return ExperimentArtifacts(
         result=result,
         metrics_path=metrics_path,
@@ -145,16 +145,17 @@ class PathRank:
 NUMERICS_VERSION = 1
 
 
-def _ranking_recipe(config: ExperimentConfig, epochs: int, lr: float, momentum: float):
-    """How each fixed path trains: plain SGD on the weights, alpha frozen."""
-    return LocalSearchConfig(epochs=epochs, batch_size=config.local_batch_size, lr_w=lr,
-                             lr_alpha=0.0, momentum_w=momentum)
+def _ranking_recipe(config: ExperimentConfig, epochs: int):
+    """How each fixed path trains: plain SGD on the weights, alpha frozen,
+    chosen for optimization stability (it assesses architectures)."""
+    return LocalSearchConfig(epochs=epochs, batch_size=config.local_batch_size, lr_w=0.05,
+                             lr_alpha=0.0, momentum_w=0.0)
 
 
-def _ranking_cache_key(config: ExperimentConfig, epochs: int, lr: float, momentum: float) -> str:
+def _ranking_cache_key(config: ExperimentConfig, epochs: int) -> str:
     """Hash of the layer configs a ranking is built from, so none of their fields is left out."""
     inputs = (
-        NUMERICS_VERSION, config.master_seed, _ranking_recipe(config, epochs, lr, momentum),
+        NUMERICS_VERSION, config.master_seed, _ranking_recipe(config, epochs),
         *data_specs(config), replace(space_config(config), fixed_path=None),
     )
     return hashlib.sha256(repr(inputs).encode()).hexdigest()
@@ -165,33 +166,32 @@ def rank_fixed_paths(
     train: Dataset,
     test: Dataset,
     epochs: int = 2,
-    lr: float = 0.05,
-    momentum: float = 0.0,
     cache_path: Path | None = None,
 ) -> list[PathRank]:
     """Centrally train every fixed path and rank by server-test accuracy.
 
-    Plain SGD by default: the point is to assess architectures, so the recipe
-    is chosen for optimization stability, not speed records. Expensive, so
-    results can be cached on disk keyed by the scenario inputs; a cache that
-    does not parse counts as a miss. Returned sorted best first (accuracy,
-    then lower loss).
+    Expensive, so results can be cached on disk keyed by the scenario inputs;
+    a cache that does not parse, or does not rank every path once, counts as
+    a miss. Returned sorted best first (accuracy, then lower loss).
     """
-    key = _ranking_cache_key(config, epochs, lr, momentum)
+    key = _ranking_cache_key(config, epochs)
+    paths = list(itertools.product(range(len(config.space_candidates)),
+                                   repeat=config.space_blocks))
     if cache_path is not None:
         cache_path = Path(cache_path)
         try:
             payload = json.loads(cache_path.read_text(encoding="utf-8"))
             if payload["key"] == key:
-                return [PathRank(tuple(e["path"]), e["test_acc"], e["final_loss"])
-                        for e in payload["ranks"]]
+                cached = [PathRank(tuple(e["path"]), e["test_acc"], e["final_loss"])
+                          for e in payload["ranks"]]
+                if sorted(r.path for r in cached) == paths:
+                    return cached
         except (OSError, ValueError, KeyError, TypeError):
             pass  # missing, torn or foreign: recompute and overwrite
 
-    recipe = _ranking_recipe(config, epochs, lr, momentum)
-    m = len(config.space_candidates)
+    recipe = _ranking_recipe(config, epochs)
     ranks: list[PathRank] = []
-    for path in itertools.product(range(m), repeat=config.space_blocks):
+    for path in paths:
         sp = space_config(config, fixed_path=path)
         net = build_supernet(sp)
         blob = flatten_params(net, include_alpha=False)
@@ -233,6 +233,8 @@ def read_metrics(path) -> tuple[list[str], list[dict[str, float]]]:
                 row[column] = float(cell)
             except ValueError:
                 raise FormatError(f"{path}: line {i}, column {column}: {cell!r} is not a number")
+            if not math.isfinite(row[column]):
+                raise FormatError(f"{path}: line {i}, column {column}: {cell!r} is not finite")
         rows.append(row)
     if not rows:
         raise FormatError(f"{path}: no rounds after the header")

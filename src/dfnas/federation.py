@@ -228,9 +228,9 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
     state.global_blob = aggregated
     unflatten_params(state.net, aggregated)
     # pruning is a server-side decision: prune masks are not part of the wire
-    # format, so clients always sample from the full space
-    if cfg.server_alpha_threshold > float("-inf"):
-        prune_edges(state.net, cfg.server_alpha_threshold)
+    # format, so clients always sample from the full space. The default
+    # threshold, -inf, prunes nothing.
+    prune_edges(state.net, cfg.server_alpha_threshold)
 
     test_acc, test_loss = evaluate(state.net, state.test_set)
     work_units = sum(executions for _, _, executions in outputs) + len(state.test_set)
@@ -267,6 +267,10 @@ def run_federated_search(
     if partition.num_clients != fed.client_pool:
         raise ConfigurationError(
             f"partition has {partition.num_clients} clients, pool is {fed.client_pool}"
+        )
+    if partition.parent_size != len(train):
+        raise ConfigurationError(
+            f"partition covers {partition.parent_size} rows, training set has {len(train)}"
         )
     net = build_supernet(space)
 

@@ -74,12 +74,11 @@ class Conv(CandidateOp):
 
     def __init__(self, channels: int, k: int, rng: np.random.Generator):
         self.kind = f"conv{k}"
-        self.k = k
         self.weight = _he_init(rng, (channels, channels, k, k), channels * k * k)
         self.bias = _zeros((channels,))
 
     def forward(self, x, tape):
-        out = tz.conv2d(x, self.weight, self.k // 2, tape=tape)
+        out = tz.conv2d(x, self.weight, tape=tape)
         return tz.relu(tz.bias_add(out, self.bias, tape), tape)
 
 
@@ -88,15 +87,14 @@ class SeparableConv(CandidateOp):
 
     def __init__(self, channels: int, k: int, rng: np.random.Generator):
         self.kind = f"sep{k}"
-        self.k = k
         self.depthwise = _he_init(rng, (channels, 1, k, k), k * k)
         self.pointwise = _he_init(rng, (channels, channels, 1, 1), channels)
         self.bias = _zeros((channels,))
         self.channels = channels
 
     def forward(self, x, tape):
-        out = tz.conv2d(x, self.depthwise, self.k // 2, groups=self.channels, tape=tape)
-        out = tz.conv2d(out, self.pointwise, 0, tape=tape)
+        out = tz.conv2d(x, self.depthwise, groups=self.channels, tape=tape)
+        out = tz.conv2d(out, self.pointwise, tape=tape)
         return tz.relu(tz.bias_add(out, self.bias, tape), tape)
 
 
@@ -105,7 +103,6 @@ class GroupedShuffleConv(CandidateOp):
 
     def __init__(self, channels: int, k: int, groups: int, rng: np.random.Generator):
         self.kind = f"shuffle{k}g{groups}"
-        self.k = k
         self.groups = groups
         self.channels = channels
         per_group = channels // groups
@@ -115,10 +112,10 @@ class GroupedShuffleConv(CandidateOp):
         self.bias = _zeros((channels,))
 
     def forward(self, x, tape):
-        out = tz.conv2d(x, self.reduce, 0, groups=self.groups, tape=tape)
+        out = tz.conv2d(x, self.reduce, groups=self.groups, tape=tape)
         out = tz.channel_shuffle(out, self.groups, tape)
-        out = tz.conv2d(out, self.depthwise, self.k // 2, groups=self.channels, tape=tape)
-        out = tz.conv2d(out, self.expand, 0, groups=self.groups, tape=tape)
+        out = tz.conv2d(out, self.depthwise, groups=self.channels, tape=tape)
+        out = tz.conv2d(out, self.expand, groups=self.groups, tape=tape)
         return tz.relu(tz.bias_add(out, self.bias, tape), tape)
 
 
@@ -170,7 +167,7 @@ class PointwiseStem(Layer):
         self.bias = _zeros((channels,))
 
     def forward(self, x, tape):
-        return tz.bias_add(tz.conv2d(x, self.weight, 0, tape=tape), self.bias, tape)
+        return tz.bias_add(tz.conv2d(x, self.weight, tape=tape), self.bias, tape)
 
 
 class Affine(Layer):

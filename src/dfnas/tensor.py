@@ -234,15 +234,9 @@ def bias_add(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def conv2d(
-    x: Tensor,
-    kernel: Tensor,
-    padding: int = 0,
-    *,
-    groups: int = 1,
-    tape: Tape | None = None,
-) -> Tensor:
-    """2-D stride-1 cross-correlation of an NCHW input with an FCkk kernel.
+def conv2d(x: Tensor, kernel: Tensor, *, groups: int = 1, tape: Tape | None = None) -> Tensor:
+    """2-D stride-1 cross-correlation of an NCHW input with an FCkk kernel,
+    zero-padded by k // 2 so the output keeps the input's H x W.
 
     With groups > 1 the kernel is F x (C/groups) x k x k and input/output
     channels are split into `groups` independent bands (groups == C gives a
@@ -251,11 +245,12 @@ def conv2d(
     Each contraction (output, kernel gradient, column gradient) is one
     `np.matmul` with the group as its batch axis. Its operand shapes and
     layouts are those `einsum(optimize=True)` gives a per-group contraction,
-    so results match a per-group einsum bit for bit (tests pin this).
+    so results match a per-group einsum bit for bit (tests pin this), except
+    on 1x1 inputs, where einsum passes the columns transposed.
 
-    The input gradient's columns are ordered (Ho, Wo, N) and its padded
+    The input gradient's columns are ordered (H, W, N) and its padded
     buffer is (C, Hp, Wp, N), so each k * k window add runs over rows of
-    Wo * N contiguous floats. No bit changes: the matmul's dot products are
+    W * N contiguous floats. No bit changes: the matmul's dot products are
     the same, and each dx element still starts at +0.0 and takes the same
     terms in the same (i, j) order. The tape copies the NCHW dx view to C order.
     """
@@ -270,57 +265,53 @@ def conv2d(
     k = kh
     if k % 2 != 1:
         raise ConfigurationError(f"conv2d: kernel size must be odd, got {k}")
-    if padding < 0:
-        raise ConfigurationError(f"conv2d: bad padding {padding}")
     if groups < 1 or c % groups != 0 or f % groups != 0 or c_per_group * groups != c:
         raise DimensionError(
             f"conv2d: input {x.shape} and kernel {kernel.shape} incompatible "
             f"for groups={groups}"
         )
+    padding = k // 2
     hp, wp = h + 2 * padding, w + 2 * padding
-    if k > min(hp, wp):
-        raise ConfigurationError(f"conv2d: kernel {k} larger than padded input {hp}x{wp}")
-    h_out, w_out = hp - k + 1, wp - k + 1
     f_per_group = f // groups
-    m = n * h_out * w_out  # columns per group
+    m = n * h * w  # columns per group
 
     if padding:
         xp = np.zeros((n, c, hp, wp), dtype=np.float64)
         xp[:, :, padding : padding + h, padding : padding + w] = x.data
     else:
         xp = x.data
-    # Columns laid out (C, k, k, N, Ho, Wo): each group's block is a
-    # C-contiguous (C/groups * k * k, N * Ho * Wo) matrix.
-    cols = np.empty((c, k, k, n, h_out, w_out), dtype=np.float64)
+    # Columns laid out (C, k, k, N, H, W): each group's block is a
+    # C-contiguous (C/groups * k * k, N * H * W) matrix.
+    cols = np.empty((c, k, k, n, h, w), dtype=np.float64)
     xp_cn = xp.transpose(1, 0, 2, 3)
     for i in range(k):
         for j in range(k):
-            cols[:, i, j] = xp_cn[:, :, i : i + h_out, j : j + w_out]
+            cols[:, i, j] = xp_cn[:, :, i : i + h, j : j + w]
     cols = cols.reshape(groups, c_per_group * k * k, m)
     kmat = kernel.data.reshape(groups, f_per_group, c_per_group * k * k)
 
-    out_arr = np.matmul(kmat, cols).reshape(f, n, h_out, w_out).transpose(1, 0, 2, 3)
+    out_arr = np.matmul(kmat, cols).reshape(f, n, h, w).transpose(1, 0, 2, 3)
     out = _wrap(np.ascontiguousarray(out_arr), "conv2d", x.requires_grad or kernel.requires_grad)
 
     if tape is not None:
         def backward(g, needs):
-            g_groups = g.reshape(n, groups, f_per_group, h_out, w_out)
+            g_groups = g.reshape(n, groups, f_per_group, h, w)
             dk = None
             if needs[1]:
-                # (G, N*Ho*Wo, F/G), C-contiguous
+                # (G, N*H*W, F/G), C-contiguous
                 gt = np.ascontiguousarray(g_groups.transpose(1, 0, 3, 4, 2))
                 dk = np.matmul(cols, gt.reshape(groups, m, f_per_group))
                 dk = dk.transpose(0, 2, 1).reshape(kernel.shape)
             dx = None
             if needs[0]:
-                # (G, F/G, Ho*Wo*N), C-contiguous: the batch innermost
+                # (G, F/G, H*W*N), C-contiguous: the batch innermost
                 gm = np.ascontiguousarray(g_groups.transpose(1, 2, 3, 4, 0))
                 dcols = np.matmul(kmat.transpose(0, 2, 1), gm.reshape(groups, f_per_group, m))
-                dcols = dcols.reshape(c, k, k, h_out, w_out, n)
+                dcols = dcols.reshape(c, k, k, h, w, n)
                 dxp = np.zeros((c, hp, wp, n), dtype=np.float64)
                 for i in range(k):
                     for j in range(k):
-                        dxp[:, i : i + h_out, j : j + w_out] += dcols[:, i, j]
+                        dxp[:, i : i + h, j : j + w] += dcols[:, i, j]
                 dx = dxp[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
             return dx, dk
 

@@ -88,7 +88,7 @@ def desk_scale(tmp_path_factory):
     )
     assert len(ranks) == 3**4 == 81
 
-    dfnas_art = run_experiment(config, quiet=True)
+    dfnas_art = run_experiment(config)
 
     baselines = {}
     for tag, path in (("best", ranks[0].path), ("worst", ranks[-1].path)):
@@ -98,7 +98,7 @@ def desk_scale(tmp_path_factory):
             space_fixed_path=path,
             output_dir=str(root / f"baseline-{tag}"),
         )
-        baselines[tag] = run_experiment(baseline_cfg, quiet=True)
+        baselines[tag] = run_experiment(baseline_cfg)
 
     return {
         "config": config,
@@ -143,13 +143,13 @@ def test_criterion_01_gradient_suite():
         k = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
         wc = rng.normal(size=(1, 2, 4, 4))
         tape = Tape()
-        out = tz.conv2d(x, k, 1, tape=tape)
+        out = tz.conv2d(x, k, tape=tape)
         tape.backward(tz.sum_all(tz.mul(out, Tensor(wc), tape), tape))
         assert rel_err(x.grad, fd_gradient(
-            lambda v: float((tz.conv2d(Tensor(v), Tensor(k.data), 1).data * wc).sum()),
+            lambda v: float((tz.conv2d(Tensor(v), Tensor(k.data)).data * wc).sum()),
             x.data, h)) < tol
         assert rel_err(k.grad, fd_gradient(
-            lambda v: float((tz.conv2d(Tensor(x.data), Tensor(v), 1).data * wc).sum()),
+            lambda v: float((tz.conv2d(Tensor(x.data), Tensor(v)).data * wc).sum()),
             k.data, h)) < tol
 
         # relu, kink excluded
@@ -318,7 +318,7 @@ def test_criterion_04_degenerate_federation_bit_identity():
     local = LocalSearchConfig(
         epochs=epochs, batch_size=16, lr_w=0.05, lr_alpha=0.01, momentum_w=0.0
     )
-    partition = Partition(client_indices=[np.arange(64)])
+    partition = Partition(client_indices=[np.arange(64)], parent_size=64)
     round_blobs: list[bytes] = []
     run_federated_search(
         train, test, partition, space, fed, local,
@@ -491,7 +491,7 @@ def test_criterion_10_reproducibility(desk_scale):
     rerun_cfg = override(
         desk_scale["config"], output_dir=str(desk_scale["root"] / "dfnas-rerun")
     )
-    rerun = run_experiment(rerun_cfg, quiet=True)
+    rerun = run_experiment(rerun_cfg)
     first = desk_scale["dfnas"].metrics_path.read_bytes()
     second = rerun.metrics_path.read_bytes()
     assert first == second

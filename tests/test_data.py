@@ -120,9 +120,12 @@ def test_iid_rejects_more_clients_than_samples():
 
 
 def test_dirichlet_single_client():
+    # a one-component draw is 1.0 or 0.9999999999999999; rounding gives all rows either way
     ds = generate_synthetic(spec(), np.random.default_rng(0))
-    part = dirichlet_split(ds, 1, 0.5, np.random.default_rng(1))
-    assert part.sizes() == [len(ds)]
+    for concentration in (1e-6, 0.5, 1e6):
+        for seed in range(20):
+            part = dirichlet_split(ds, 1, concentration, np.random.default_rng(seed))
+            assert part.sizes() == [len(ds)]
 
 
 def test_dirichlet_partition_complete_and_disjoint():
@@ -179,11 +182,11 @@ def test_dirichlet_errors_after_retries_on_degenerate_partition():
         features=np.zeros((3, 4)), labels=np.array([0, 0, 0]), num_classes=1
     )
     with pytest.raises(DataError):
-        dirichlet_split(ds, 3, 1e-6, np.random.default_rng(5), max_retries=3)
+        dirichlet_split(ds, 3, 1e-6, np.random.default_rng(5))
 
 
 def test_partition_validation_catches_overlap_and_gaps():
     with pytest.raises(DataError):
-        Partition(client_indices=[np.array([0, 1]), np.array([1, 2])])
+        Partition(client_indices=[np.array([0, 1]), np.array([1, 2])], parent_size=3)
     with pytest.raises(DataError):
         Partition(client_indices=[np.array([0, 1])], parent_size=3)

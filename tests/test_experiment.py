@@ -51,7 +51,7 @@ def small_config(tmp_path, **overrides):
 
 
 def test_run_writes_all_artifacts(tmp_path):
-    art = run_experiment(small_config(tmp_path), quiet=True)
+    art = run_experiment(small_config(tmp_path))
     assert art.metrics_path.exists()
     assert art.child_path.exists()
     assert art.config_path.exists()
@@ -63,23 +63,23 @@ def test_run_writes_all_artifacts(tmp_path):
 
 
 def test_metrics_csv_is_byte_reproducible(tmp_path):
-    a = run_experiment(small_config(tmp_path, output_dir=str(tmp_path / "a")), quiet=True)
-    b = run_experiment(small_config(tmp_path, output_dir=str(tmp_path / "b")), quiet=True)
+    a = run_experiment(small_config(tmp_path, output_dir=str(tmp_path / "a")))
+    b = run_experiment(small_config(tmp_path, output_dir=str(tmp_path / "b")))
     assert a.metrics_path.read_bytes() == b.metrics_path.read_bytes()
     assert a.child_path.read_bytes() == b.child_path.read_bytes()
 
 
 def test_different_seed_changes_metrics(tmp_path):
-    a = run_experiment(small_config(tmp_path, output_dir=str(tmp_path / "a")), quiet=True)
+    a = run_experiment(small_config(tmp_path, output_dir=str(tmp_path / "a")))
     b = run_experiment(
-        small_config(tmp_path, output_dir=str(tmp_path / "b"), master_seed=4), quiet=True
+        small_config(tmp_path, output_dir=str(tmp_path / "b"), master_seed=4)
     )
     assert a.metrics_path.read_bytes() != b.metrics_path.read_bytes()
 
 
 def test_checkpoints_written_when_enabled(tmp_path):
     config = small_config(tmp_path, federation_checkpoints=True)
-    run_experiment(config, quiet=True)
+    run_experiment(config)
     out = tmp_path / "run"
     assert (out / "round_0000.blob").exists()
     assert (out / "round_0002.blob").exists()
@@ -93,7 +93,7 @@ def test_baseline_mode_reproduces_plain_fedavg(tmp_path):
         mode="baseline",
         space_fixed_path=(0, 0),
     )
-    art_b = run_experiment(baseline, quiet=True)
+    art_b = run_experiment(baseline)
     # degenerate search space: the same chain, search machinery on
     degen = small_config(
         tmp_path,
@@ -101,7 +101,7 @@ def test_baseline_mode_reproduces_plain_fedavg(tmp_path):
         space_candidates=("linear8",),
         local_lr_alpha=0.0,
     )
-    art_d = run_experiment(degen, quiet=True)
+    art_d = run_experiment(degen)
     accs_b = [r.test_acc for r in art_b.result.history]
     accs_d = [r.test_acc for r in art_d.result.history]
     assert accs_b == accs_d
@@ -118,7 +118,7 @@ def test_baseline_child_numbers_candidates_in_the_space(tmp_path):
         space_channels=4,
         federation_rounds=1,
     )
-    art = run_experiment(config, quiet=True)
+    art = run_experiment(config)
     text = art.child_path.read_text()
     assert "block 0: candidate 1 (conv5" in text
     assert "block 1: candidate 0 (conv3" in text
@@ -134,7 +134,7 @@ def test_client_count_sweep_produces_one_csv_per_setting(tmp_path):
             federation_client_pool=k,
             federation_clients_per_round=k,
         )
-        art = run_experiment(cfg, quiet=True)
+        art = run_experiment(cfg)
         finals[k] = art.result.history[-1].test_acc
     for k in (2, 4, 8):
         path = tmp_path / f"clients-{k}" / "metrics.csv"
@@ -154,7 +154,7 @@ def test_ranking_cache_from_other_numerics_version_is_recomputed(tmp_path, monke
     # The same ranking cached by code with other numerics, and other numbers.
     monkeypatch.setattr(experiment, "NUMERICS_VERSION", experiment.NUMERICS_VERSION + 1)
     stale = [PathRank(r.path, 0.0, 9.0) for r in fresh]
-    other_key = experiment._ranking_cache_key(config, 1, 0.05, 0.0)
+    other_key = experiment._ranking_cache_key(config, 1)
     cache.write_text(json.dumps({"key": other_key, "ranks": [
         {"path": list(r.path), "test_acc": r.test_acc, "final_loss": r.final_loss}
         for r in stale
@@ -172,8 +172,12 @@ def test_unparsable_ranking_cache_is_recomputed_and_rewritten(tmp_path):
     cache = tmp_path / "ranks.json"
     fresh = rank_fixed_paths(config, train, test, epochs=1, cache_path=cache)
     whole = cache.read_text()
-    key = experiment._ranking_cache_key(config, 1, 0.05, 0.0)
-    for broken in (whole[: len(whole) // 2], json.dumps({"key": key}), "[]"):
+    key = experiment._ranking_cache_key(config, 1)
+    # the right key with 1 or 3 of the 4 paths, one path twice, or a path out of range
+    ranks = json.loads(whole)["ranks"]
+    partial = [ranks[:1], ranks[:3], ranks + ranks[:1], ranks[:3] + [dict(ranks[0], path=[0, 2])]]
+    for broken in (whole[: len(whole) // 2], json.dumps({"key": key}), "[]",
+                   *(json.dumps({"key": key, "ranks": r}) for r in partial)):
         cache.write_text(broken)
         assert rank_fixed_paths(config, train, test, epochs=1, cache_path=cache) == fresh
         assert cache.read_text() == whole
@@ -204,14 +208,13 @@ def test_ranking_cache_key_changes_with_the_ranking_inputs_only():
         f.name for f in fields(ExperimentConfig)
     )
     base = ExperimentConfig(space_fixed_path=(0, 0, 0, 0))
-    key = experiment._ranking_cache_key(base, 2, 0.05, 0.0)
+    key = experiment._ranking_cache_key(base, 2)
     for inputs, changes in ((RANKING_INPUTS, True), (NOT_RANKING_INPUTS, False)):
         for name, value in inputs.items():
             assert getattr(base, name) != value, name
-            other = experiment._ranking_cache_key(replace(base, **{name: value}), 2, 0.05, 0.0)
+            other = experiment._ranking_cache_key(replace(base, **{name: value}), 2)
             assert (other != key) == changes, name
-    for epochs, lr, momentum in ((1, 0.05, 0.0), (2, 0.1, 0.0), (2, 0.05, 0.5)):
-        assert experiment._ranking_cache_key(base, epochs, lr, momentum) != key
+    assert experiment._ranking_cache_key(base, 1) != key
 
 
 def test_rank_fixed_paths_orders_and_caches(tmp_path):
@@ -232,7 +235,7 @@ def test_rank_fixed_paths_orders_and_caches(tmp_path):
 
 
 def test_compare_run_against_itself_zero_difference(tmp_path):
-    art = run_experiment(small_config(tmp_path), quiet=True)
+    art = run_experiment(small_config(tmp_path))
     text = compare_runs([art.metrics_path, art.metrics_path])
     assert "+/- 0.00" in text
     columns = text.strip().splitlines()[0].split(",")
@@ -246,7 +249,7 @@ def test_compare_reports_mean_and_std(tmp_path):
     for seed in (1, 2, 3):
         cfg = small_config(tmp_path, output_dir=str(tmp_path / f"s{seed}"),
                            master_seed=seed)
-        paths.append(run_experiment(cfg, quiet=True).metrics_path)
+        paths.append(run_experiment(cfg).metrics_path)
     out = tmp_path / "cmp.csv"
     text = compare_runs(paths, out_path=out)
     assert "final accuracy:" in text
@@ -255,7 +258,7 @@ def test_compare_reports_mean_and_std(tmp_path):
 
 
 def test_compare_rejects_schema_mismatch(tmp_path):
-    art = run_experiment(small_config(tmp_path), quiet=True)
+    art = run_experiment(small_config(tmp_path))
     bad = tmp_path / "bad.csv"
     bad.write_text("round,accuracy\n0,0.5\n")
     with pytest.raises(FormatError):
@@ -265,7 +268,7 @@ def test_compare_rejects_schema_mismatch(tmp_path):
 
 
 def test_read_metrics_roundtrip(tmp_path):
-    art = run_experiment(small_config(tmp_path), quiet=True)
+    art = run_experiment(small_config(tmp_path))
     columns, rows = read_metrics(art.metrics_path)
     assert columns == METRICS_HEADER.split(",")
     assert [int(r["round"]) for r in rows] == [0, 1, 2]
@@ -365,6 +368,19 @@ BAD_INPUTS = {
     "compare-no-rows": (
         ["compare", "{good}", "{bad}"], (METRICS_HEADER + "\n").encode(), "no rounds"
     ),
+    **{
+        f"compare-{cell}": (
+            ["compare", "{good}", "{bad}"],
+            (METRICS_HEADER + "\n0,2,0.5,0.69,100,100,10\n" + row).encode(),
+            f"line 3, column {column}: '{cell}' is not finite",
+        )
+        for cell, column, row in (
+            ("nan", "test_acc", "1,2,nan,0.69,100,100,10\n"),
+            ("inf", "test_loss", "1,2,0.5,inf,100,100,10\n"),
+            ("-inf", "test_loss", "1,2,0.5,-inf,100,100,10\n"),
+            ("1e400", "bytes_up", "1,2,0.5,0.69,1e400,100,10\n"),
+        )
+    },
 }
 
 

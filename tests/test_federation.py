@@ -248,7 +248,7 @@ def test_single_client_round_returns_that_clients_blob():
     train = blob_data(n=80, seed=11)
     test = blob_data(n=40, seed=12)
     space = vector_space()
-    partition = Partition(client_indices=[np.arange(80)])
+    partition = Partition(client_indices=[np.arange(80)], parent_size=80)
     fed = FederationConfig(rounds=1, client_pool=1, clients_per_round=1, master_seed=0)
     local = LocalSearchConfig(epochs=1, batch_size=16, lr_w=0.05, lr_alpha=0.01,
                               momentum_w=0.9)
@@ -333,7 +333,7 @@ def test_client_failure_aborts_round_with_id(workers):
     bad[:10] = 1e200  # client 0's rows blow up
     train = Dataset(features=bad, labels=train.labels, num_classes=train.num_classes)
     test = blob_data(n=20, seed=12)
-    partition = Partition(client_indices=[np.arange(10), np.arange(10, 40)])
+    partition = Partition(client_indices=[np.arange(10), np.arange(10, 40)], parent_size=40)
     fed = FederationConfig(rounds=1, client_pool=2, clients_per_round=2, master_seed=0,
                            workers=workers)
     local = LocalSearchConfig(epochs=1, batch_size=8, lr_w=0.05)
@@ -352,6 +352,15 @@ def test_pool_partition_size_must_match():
         run_federated_search(
             train, train, partition, vector_space(), fed, LocalSearchConfig()
         )
+
+
+@pytest.mark.parametrize("rows", [20, 80])
+def test_partition_must_cover_the_training_set(rows):
+    train = blob_data(n=64)
+    partition = iid_split(blob_data(n=rows), 2, np.random.default_rng(0))
+    fed = FederationConfig(rounds=1, client_pool=2, clients_per_round=2)
+    with pytest.raises(ConfigurationError, match=f"covers {rows} rows, training set has 64"):
+        run_federated_search(train, train, partition, vector_space(), fed, LocalSearchConfig())
 
 
 def test_config_validation():
@@ -404,7 +413,7 @@ def test_one_client_federation_equals_centralized_run():
     test = blob_data(n=32, seed=22)
     space = vector_space()
     rounds, epochs = 3, 2
-    partition = Partition(client_indices=[np.arange(64)])
+    partition = Partition(client_indices=[np.arange(64)], parent_size=64)
     fed = FederationConfig(
         rounds=rounds, client_pool=1, clients_per_round=1, master_seed=5
     )
@@ -446,7 +455,7 @@ def test_one_client_federation_matches_segmented_run_with_momentum():
     train = blob_data(n=64, seed=31)
     test = blob_data(n=32, seed=32)
     space = vector_space()
-    partition = Partition(client_indices=[np.arange(64)])
+    partition = Partition(client_indices=[np.arange(64)], parent_size=64)
     fed = FederationConfig(rounds=2, client_pool=1, clients_per_round=1, master_seed=9)
     local = LocalSearchConfig(
         epochs=2, batch_size=16, lr_w=0.05, lr_alpha=0.01, momentum_w=0.9

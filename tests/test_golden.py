@@ -85,7 +85,7 @@ def _sha256(data: bytes) -> str:
 def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     """sha256 of the config and of each output file of one run."""
     config = CONFIGS[name]
-    art = run_experiment(replace(config, output_dir=str(out_dir)), quiet=True)
+    art = run_experiment(replace(config, output_dir=str(out_dir)))
     return {
         "config": _sha256(serialize_config(config).encode()),
         "metrics.csv": _sha256(art.metrics_path.read_bytes()),
