@@ -4,7 +4,7 @@
 federated search (or the fixed-architecture baseline), and writes:
 
 * ``metrics.csv``  - one row per round; byte-reproducible from (config, seed).
-  The ``wall_ms`` column is a deterministic work proxy (candidate executions
+  The ``work_units`` column is a deterministic work proxy (candidate executions
   plus evaluated samples); real elapsed time goes to the printed summary only.
 * ``child.txt``    - the derived architecture description.
 * ``round_NNNN.blob`` checkpoints when enabled.
@@ -38,7 +38,7 @@ from .local_search import LocalSearchConfig, client_local_search
 from .seeds import derive_seed, stream
 from .supernet import build_supernet, describe_child, flatten_params, unflatten_params
 
-METRICS_HEADER = "round,clients,test_acc,test_loss,bytes_up,bytes_down,wall_ms"
+METRICS_HEADER = "round,clients,test_acc,test_loss,bytes_up,bytes_down,work_units"
 
 
 def build_datasets(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
@@ -142,7 +142,7 @@ class PathRank:
 # summation order anywhere a ranked path trains or evaluates (so that the bits
 # of a ranking change), and rankings cached by older code are recomputed
 # instead of silently reused. Changes that keep every output bit leave it as is.
-NUMERICS_VERSION = 1
+NUMERICS_VERSION = 2
 
 
 def _ranking_recipe(config: ExperimentConfig, epochs: int):

@@ -234,6 +234,22 @@ def bias_add(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
+def _columns(a: np.ndarray, k: int) -> np.ndarray:
+    """The k x k windows of a (C, H, W, N) array zero-padded by k // 2, as
+    (C, k, k, H, W, N) columns: each window copy runs over W * N contiguous floats."""
+    c, h, w, n = a.shape
+    p = k // 2
+    if p:  # a 1x1 kernel's one window is `a` itself
+        padded = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=np.float64)
+        padded[:, p : p + h, p : p + w] = a
+        a = padded
+    cols = np.empty((c, k, k, h, w, n), dtype=np.float64)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = a[:, i : i + h, j : j + w]
+    return cols
+
+
 def conv2d(x: Tensor, kernel: Tensor, *, groups: int = 1, tape: Tape | None = None) -> Tensor:
     """2-D stride-1 cross-correlation of an NCHW input with an FCkk kernel,
     zero-padded by k // 2 so the output keeps the input's H x W.
@@ -242,17 +258,17 @@ def conv2d(x: Tensor, kernel: Tensor, *, groups: int = 1, tape: Tape | None = No
     channels are split into `groups` independent bands (groups == C gives a
     depthwise convolution).
 
-    Each contraction (output, kernel gradient, column gradient) is one
-    `np.matmul` with the group as its batch axis. Its operand shapes and
-    layouts are those `einsum(optimize=True)` gives a per-group contraction,
-    so results match a per-group einsum bit for bit (tests pin this), except
-    on 1x1 inputs, where einsum passes the columns transposed.
-
-    The input gradient's columns are ordered (H, W, N) and its padded
-    buffer is (C, Hp, Wp, N), so each k * k window add runs over rows of
-    W * N contiguous floats. No bit changes: the matmul's dot products are
-    the same, and each dx element still starts at +0.0 and takes the same
-    terms in the same (i, j) order. The tape copies the NCHW dx view to C order.
+    Every contraction keeps the batch innermost: the input is copied once
+    into a zero-padded (C, Hp, Wp, N) buffer, its columns are laid out
+    (C, k, k, H, W, N), and each contraction is one `np.matmul` with the group
+    as its batch axis. The output matches a per-group einsum bit for bit
+    (tests pin this). The kernel gradient is the upstream gradient, as a
+    (G, F/G, H*W*N) matrix, times the columns transposed. The input gradient
+    is the stride-1 transposed convolution: the upstream gradient, padded by
+    k - 1 - k // 2 = k // 2, correlated with the flipped kernel whose in and
+    out channels swap within each group. Both gradients sum in another order
+    than the einsum (tests bound the difference). The tape copies the NCHW
+    dx view to C order.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError(
@@ -270,49 +286,27 @@ def conv2d(x: Tensor, kernel: Tensor, *, groups: int = 1, tape: Tape | None = No
             f"conv2d: input {x.shape} and kernel {kernel.shape} incompatible "
             f"for groups={groups}"
         )
-    padding = k // 2
-    hp, wp = h + 2 * padding, w + 2 * padding
     f_per_group = f // groups
-    m = n * h * w  # columns per group
+    m = h * w * n  # columns per group
 
-    if padding:
-        xp = np.zeros((n, c, hp, wp), dtype=np.float64)
-        xp[:, :, padding : padding + h, padding : padding + w] = x.data
-    else:
-        xp = x.data
-    # Columns laid out (C, k, k, N, H, W): each group's block is a
-    # C-contiguous (C/groups * k * k, N * H * W) matrix.
-    cols = np.empty((c, k, k, n, h, w), dtype=np.float64)
-    xp_cn = xp.transpose(1, 0, 2, 3)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp_cn[:, :, i : i + h, j : j + w]
-    cols = cols.reshape(groups, c_per_group * k * k, m)
-    kmat = kernel.data.reshape(groups, f_per_group, c_per_group * k * k)
-
-    out_arr = np.matmul(kmat, cols).reshape(f, n, h, w).transpose(1, 0, 2, 3)
+    cols = _columns(x.data.transpose(1, 2, 3, 0), k).reshape(groups, c_per_group * k * k, m)
+    out_arr = np.matmul(kernel.data.reshape(groups, f_per_group, c_per_group * k * k), cols)
+    out_arr = out_arr.reshape(f, h, w, n).transpose(3, 0, 1, 2)
     out = _wrap(np.ascontiguousarray(out_arr), "conv2d", x.requires_grad or kernel.requires_grad)
 
     if tape is not None:
         def backward(g, needs):
-            g_groups = g.reshape(n, groups, f_per_group, h, w)
+            gm = np.ascontiguousarray(g.transpose(1, 2, 3, 0))  # (F, H, W, N)
             dk = None
             if needs[1]:
-                # (G, N*H*W, F/G), C-contiguous
-                gt = np.ascontiguousarray(g_groups.transpose(1, 0, 3, 4, 2))
-                dk = np.matmul(cols, gt.reshape(groups, m, f_per_group))
-                dk = dk.transpose(0, 2, 1).reshape(kernel.shape)
+                dk = np.matmul(gm.reshape(groups, f_per_group, m), cols.transpose(0, 2, 1))
+                dk = dk.reshape(kernel.shape)
             dx = None
             if needs[0]:
-                # (G, F/G, H*W*N), C-contiguous: the batch innermost
-                gm = np.ascontiguousarray(g_groups.transpose(1, 2, 3, 4, 0))
-                dcols = np.matmul(kmat.transpose(0, 2, 1), gm.reshape(groups, f_per_group, m))
-                dcols = dcols.reshape(c, k, k, h, w, n)
-                dxp = np.zeros((c, hp, wp, n), dtype=np.float64)
-                for i in range(k):
-                    for j in range(k):
-                        dxp[:, i : i + h, j : j + w] += dcols[:, i, j]
-                dx = dxp[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
+                gcols = _columns(gm, k).reshape(groups, f_per_group * k * k, m)
+                flipped = kernel.data.reshape(groups, f_per_group, c_per_group, k, k)[..., ::-1, ::-1]
+                kt = flipped.transpose(0, 2, 1, 3, 4).reshape(groups, c_per_group, -1)
+                dx = np.matmul(kt, gcols).reshape(c, h, w, n).transpose(3, 0, 1, 2)
             return dx, dk
 
         tape.record((x, kernel), out, backward)

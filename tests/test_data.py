@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfnas.data import (
+    DIRICHLET_DRAWS,
     DataSpec,
     Dataset,
     Partition,
@@ -183,6 +186,74 @@ def test_dirichlet_errors_after_retries_on_degenerate_partition():
     )
     with pytest.raises(DataError):
         dirichlet_split(ds, 3, 1e-6, np.random.default_rng(5))
+
+
+# --- partition properties ---
+
+
+def _labelled(n: int, classes: int, seed: int) -> Dataset:
+    labels = np.random.default_rng(seed).integers(0, classes, size=n)
+    return Dataset(features=np.zeros((n, 2)), labels=labels, num_classes=classes)
+
+
+def _covers_exactly(part: Partition, n: int) -> bool:
+    merged = np.concatenate(part.client_indices)
+    return merged.size == n and np.array_equal(np.sort(merged), np.arange(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 16), st.integers(0, 2**32 - 1))
+def test_iid_shards_cover_the_dataset_with_near_equal_sizes(n, clients, seed):
+    ds = _labelled(n, 3, seed)
+    if clients > n:
+        with pytest.raises(ConfigurationError):
+            iid_split(ds, clients, np.random.default_rng(seed))
+        return
+    part = iid_split(ds, clients, np.random.default_rng(seed))
+    assert part.num_clients == clients
+    assert _covers_exactly(part, n)
+    assert max(part.sizes()) - min(part.sizes()) <= 1
+
+
+class _RecordingRng:
+    """Draws from a seeded generator and keeps every Dirichlet draw."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.draws: list[np.ndarray] = []
+
+    def dirichlet(self, alpha):
+        p = self._rng.dirichlet(alpha)
+        self.draws.append(p)
+        return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 300), st.integers(1, 5), st.integers(1, 12),
+    st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1),
+)
+def test_dirichlet_shards_cover_the_dataset_or_a_client_is_empty(
+    n, classes, clients, concentration, seed
+):
+    ds = _labelled(n, classes, seed)
+    rng = _RecordingRng(seed)
+    try:
+        part = dirichlet_split(ds, clients, concentration, rng)
+    except DataError:
+        # Every draw must have left a client empty. A client with no samples
+        # got under one sample's share of every class: largest-remainder
+        # rounding never rounds a share of one or more down to zero.
+        class_sizes = np.bincount(ds.labels, minlength=classes)
+        class_sizes = class_sizes[class_sizes > 0]
+        assert len(rng.draws) == DIRICHLET_DRAWS * class_sizes.size
+        for draw in np.array(rng.draws).reshape(DIRICHLET_DRAWS, class_sizes.size, clients):
+            shares = draw * class_sizes[:, None]
+            assert (shares < 1).all(axis=0).any()
+        return
+    assert part.num_clients == clients
+    assert _covers_exactly(part, n)
+    assert min(part.sizes()) > 0
 
 
 def test_partition_validation_catches_overlap_and_gaps():

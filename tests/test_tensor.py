@@ -120,7 +120,8 @@ def test_conv2d_gradient_matches_finite_differences():
 
 def _einsum_conv2d(x, kernel, groups, g):
     """Reference: the earlier per-group einsum conv2d, as (out, dx, dk) for
-    upstream gradient g. Kept to pin conv2d's results bit for bit."""
+    upstream gradient g. Kept to pin conv2d's output bit for bit and its
+    gradients to a stated tolerance."""
     n, c, h, w = x.shape
     f, c_per_group, k, _ = kernel.shape
     padding = k // 2
@@ -169,8 +170,9 @@ CONV_SHAPES = {
 }
 
 
-def _conv2d_against_einsum(shape, hw):
-    """conv2d's (out, dx, dk) and the einsum reference's, for a random case."""
+def _conv2d_case(shape, hw):
+    """A random conv2d case: x, kernel, upstream gradient g, and conv2d's
+    (out, dx, dk) for it."""
     n, c, f, k, groups = shape
     rng = np.random.default_rng(sum(shape) + 1)  # + 1 keeps each case's established draws
     x = Tensor(rng.normal(size=(n, c, *hw)), requires_grad=True)
@@ -180,19 +182,47 @@ def _conv2d_against_einsum(shape, hw):
     out = tz.conv2d(x, kernel, groups=groups, tape=tape)
     g = rng.normal(size=out.shape)
     tape.backward(tz.sum_all(tz.mul(out, Tensor(g), tape), tape))
-    return (out.data, x.grad, kernel.grad), _einsum_conv2d(x.data, kernel.data, groups, g)
+    return x.data, kernel.data, g, (out.data, x.grad, kernel.grad)
+
+
+def _conv2d_against_einsum(shape, hw):
+    """conv2d's (out, dx, dk) and the einsum reference's, for a random case."""
+    x, kernel, g, got = _conv2d_case(shape, hw)
+    return got, _einsum_conv2d(x, kernel, shape[4], g)
 
 
 @pytest.mark.parametrize("shape, hw", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
 def test_conv2d_bit_identical_to_per_group_einsum(shape, hw):
-    got, ref = _conv2d_against_einsum(shape, hw)
-    assert got[0].shape == (shape[0], shape[2], *hw)
+    # The output, bit for bit; the gradients' layout.
+    (out, dx, dk), (ref_out, _, _) = _conv2d_against_einsum(shape, hw)
+    assert out.shape == (shape[0], shape[2], *hw)
     # Layout matters too: reductions over a gradient (the clip norm, bias
     # gradients) sum in memory order.
-    for arr in got:
+    for arr in (out, dx, dk):
         assert arr.flags.c_contiguous
-    for arr, ref_arr in zip(got, ref):
-        assert np.array_equal(arr, ref_arr)
+    assert np.array_equal(out, ref_out)
+
+
+@pytest.mark.parametrize("shape, hw", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+def test_conv2d_gradients_close_to_per_group_einsum(shape, hw):
+    # dx is a transposed convolution and dk takes the batch innermost, so both
+    # sum in another order than the einsum. Allowed: 1e-14 (about 45 float64
+    # epsilons) of the largest reference magnitude; the largest difference
+    # over these cases is under 1.5e-15 of it.
+    (_, dx, dk), (_, ref_dx, ref_dk) = _conv2d_against_einsum(shape, hw)
+    for arr, ref_arr in ((dx, ref_dx), (dk, ref_dk)):
+        np.testing.assert_allclose(arr, ref_arr, rtol=0, atol=1e-14 * np.abs(ref_arr).max())
+
+
+@pytest.mark.parametrize("shape, hw", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+def test_conv2d_gradients_are_adjoint_to_the_forward(shape, hw):
+    # conv2d is linear in x and in the kernel, so <out, g> = <x, dx> =
+    # <kernel, dk>. This pins the flip and the channel transpose of the
+    # transposed convolution without the einsum reference.
+    x, kernel, g, (out, dx, dk) = _conv2d_case(shape, hw)
+    inner = float((out * g).sum())
+    assert float((x * dx).sum()) == pytest.approx(inner, rel=1e-12)
+    assert float((kernel * dk).sum()) == pytest.approx(inner, rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
