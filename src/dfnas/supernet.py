@@ -36,7 +36,10 @@ VALID_KERNELS = (3, 5, 7)
 # candidate operations
 
 
-def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
+def _he_init(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+    """He-normal weights whose fan-in is every axis but the output axis: axis 0
+    of an (F, C/groups, k, k) kernel, axis 1 of an (in, out) dense weight."""
+    fan_in = math.prod(shape) // shape[0 if len(shape) == 4 else 1]
     std = math.sqrt(2.0 / fan_in)
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 
@@ -70,53 +73,26 @@ class Identity(CandidateOp):
 
 
 class Conv(CandidateOp):
-    """k x k convolution with bias and ReLU, shape preserving."""
+    """Convolution steps, then bias and ReLU; shape preserving. A step
+    (name, k, groups) convolves by the kernel attribute `name`, shaped
+    (channels, channels / groups, k, k) and drawn in step order; the step
+    named "shuffle" interleaves `groups` channel bands instead."""
 
-    def __init__(self, channels: int, k: int, rng: np.random.Generator):
-        self.kind = f"conv{k}"
-        self.weight = _he_init(rng, (channels, channels, k, k), channels * k * k)
+    def __init__(self, kind: str, channels: int, steps: tuple, rng: np.random.Generator):
+        self.kind = kind
+        self.steps = steps
+        for name, k, groups in steps:
+            if name != "shuffle":
+                setattr(self, name, _he_init(rng, (channels, channels // groups, k, k)))
         self.bias = _zeros((channels,))
 
     def forward(self, x, tape):
-        out = tz.conv2d(x, self.weight, tape=tape)
-        return tz.relu(tz.bias_add(out, self.bias, tape), tape)
-
-
-class SeparableConv(CandidateOp):
-    """Depthwise k x k followed by pointwise 1 x 1, bias and ReLU."""
-
-    def __init__(self, channels: int, k: int, rng: np.random.Generator):
-        self.kind = f"sep{k}"
-        self.depthwise = _he_init(rng, (channels, 1, k, k), k * k)
-        self.pointwise = _he_init(rng, (channels, channels, 1, 1), channels)
-        self.bias = _zeros((channels,))
-        self.channels = channels
-
-    def forward(self, x, tape):
-        out = tz.conv2d(x, self.depthwise, groups=self.channels, tape=tape)
-        out = tz.conv2d(out, self.pointwise, tape=tape)
-        return tz.relu(tz.bias_add(out, self.bias, tape), tape)
-
-
-class GroupedShuffleConv(CandidateOp):
-    """Grouped 1x1 -> channel shuffle -> depthwise kxk -> grouped 1x1, bias, ReLU."""
-
-    def __init__(self, channels: int, k: int, groups: int, rng: np.random.Generator):
-        self.kind = f"shuffle{k}g{groups}"
-        self.groups = groups
-        self.channels = channels
-        per_group = channels // groups
-        self.reduce = _he_init(rng, (channels, per_group, 1, 1), per_group)
-        self.depthwise = _he_init(rng, (channels, 1, k, k), k * k)
-        self.expand = _he_init(rng, (channels, per_group, 1, 1), per_group)
-        self.bias = _zeros((channels,))
-
-    def forward(self, x, tape):
-        out = tz.conv2d(x, self.reduce, groups=self.groups, tape=tape)
-        out = tz.channel_shuffle(out, self.groups, tape)
-        out = tz.conv2d(out, self.depthwise, groups=self.channels, tape=tape)
-        out = tz.conv2d(out, self.expand, groups=self.groups, tape=tape)
-        return tz.relu(tz.bias_add(out, self.bias, tape), tape)
+        for name, _, groups in self.steps:
+            if name == "shuffle":
+                x = tz.channel_shuffle(x, groups, tape)
+            else:
+                x = tz.conv2d(x, getattr(self, name), groups=groups, tape=tape)
+        return tz.relu(tz.bias_add(x, self.bias, tape), tape)
 
 
 class LinearReLU(CandidateOp):
@@ -124,8 +100,7 @@ class LinearReLU(CandidateOp):
 
     def __init__(self, width: int, rng: np.random.Generator):
         self.kind = f"linear{width}"
-        self.width = width
-        self.weight = _he_init(rng, (width, width), width)
+        self.weight = _he_init(rng, (width, width))
         self.bias = _zeros((width,))
 
     def forward(self, x, tape):
@@ -144,15 +119,21 @@ _TOKEN_RE = re.compile(
 def make_candidate(token: str, *, channels: int, rng: np.random.Generator) -> CandidateOp:
     """Build one candidate op from a token that `SpaceConfig.problems()` accepts."""
     m = _TOKEN_RE.fullmatch(token)
-    if m["ck"]:
-        return Conv(channels, int(m["ck"]), rng)
-    if m["sk"]:
-        return SeparableConv(channels, int(m["sk"]), rng)
-    if m["hk"]:
-        return GroupedShuffleConv(channels, int(m["hk"]), int(m["hg"]), rng)
     if m["lw"]:
         return LinearReLU(int(m["lw"]), rng)
-    return Identity()
+    if token == "identity":
+        return Identity()
+    if m["ck"]:  # a dense k x k conv
+        steps = (("weight", int(m["ck"]), 1),)
+    elif m["sk"]:  # depthwise k x k, then pointwise 1 x 1
+        steps = (("depthwise", int(m["sk"]), channels), ("pointwise", 1, 1))
+    else:  # grouped 1 x 1, channel shuffle, depthwise k x k, grouped 1 x 1
+        g = int(m["hg"])
+        steps = (
+            ("reduce", 1, g), ("shuffle", None, g),
+            ("depthwise", int(m["hk"]), channels), ("expand", 1, g),
+        )
+    return Conv(token, channels, steps, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +144,7 @@ class PointwiseStem(Layer):
     """Affine 1x1 channel lift for image inputs (no spatial extent)."""
 
     def __init__(self, in_channels: int, channels: int, rng: np.random.Generator):
-        self.weight = _he_init(rng, (channels, in_channels, 1, 1), in_channels)
+        self.weight = _he_init(rng, (channels, in_channels, 1, 1))
         self.bias = _zeros((channels,))
 
     def forward(self, x, tape):
@@ -174,7 +155,7 @@ class Affine(Layer):
     """Flatten if 4-d, then x @ W + b: the vector stem and the classifier head."""
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        self.weight = _he_init(rng, (in_features, out_features), in_features)
+        self.weight = _he_init(rng, (in_features, out_features))
         self.bias = _zeros((out_features,))
 
     def forward(self, x, tape):

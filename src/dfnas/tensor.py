@@ -1,9 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode automatic differentiation.
 
 Deliberately small: just the primitives needed to express convolutional
-candidate operations, a linear classifier head, scalar feature-map masks and
-the cross-entropy training loss, each with an exact backward rule. Everything
-is float64 so gradient checks and aggregation identities have headroom.
+candidate operations, a linear classifier head and the cross-entropy training
+loss, each with an exact backward rule. No mask goes on the tape; `scale`, a
+tensor times a scalar tensor, remains only as the tests' unit-mask oracle.
+Everything is float64 so gradient checks and aggregation identities have
+headroom.
 
 A tape and its tensors belong to one worker at a time; hand them off whole,
 never share them mutably. There is no global state.
@@ -174,7 +176,7 @@ def mul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def scale(x: Tensor, s: Tensor, tape: Tape | None = None) -> Tensor:
-    """Multiply a tensor by a scalar tensor (the feature-map mask primitive).
+    """Multiply a tensor by a scalar tensor (a feature-map mask, in the tests).
 
     The gradient of the scalar is the inner product of upstream gradient and
     the unscaled input, which is exactly the signal the architecture update
@@ -208,21 +210,11 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
 
 
 def bias_add(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Add a rank-1 bias: per channel for NCHW inputs, per column for ND inputs."""
-    if b.data.ndim != 1:
-        raise DimensionError(f"bias_add: bias must be rank 1, got shape {b.shape}")
-    if x.data.ndim == 4:
-        if b.shape[0] != x.shape[1]:
-            raise DimensionError(f"bias_add: bias {b.shape} vs channels of {x.shape}")
-        out_arr = x.data + b.data[None, :, None, None]
-        reduce_axes: tuple[int, ...] = (0, 2, 3)
-    elif x.data.ndim == 2:
-        if b.shape[0] != x.shape[1]:
-            raise DimensionError(f"bias_add: bias {b.shape} vs columns of {x.shape}")
-        out_arr = x.data + b.data[None, :]
-        reduce_axes = (0,)
-    else:
-        raise DimensionError(f"bias_add: unsupported input rank {x.data.ndim}")
+    """Add a rank-1 bias along axis 1: per column of (N, D), per channel of NCHW."""
+    if x.data.ndim not in (2, 4) or b.data.ndim != 1 or b.shape[0] != x.shape[1]:
+        raise DimensionError(f"bias_add: bias {b.shape} does not fit input {x.shape}")
+    out_arr = x.data + b.data.reshape(-1, *(1,) * (x.data.ndim - 2))
+    reduce_axes = (0, *range(2, x.data.ndim))
     out = _wrap(out_arr, "bias_add", x.requires_grad or b.requires_grad)
     if tape is not None:
         def backward(g, needs):

@@ -26,6 +26,7 @@ from dfnas.supernet import (
     flatten_params,
     forward_logits,
     forward_path,
+    make_candidate,
     mask_gradient,
     prune_edges,
     sample_path,
@@ -113,6 +114,77 @@ def test_build_rejects_incompatible_candidates():
 def test_build_rejects_bad_shuffle_groups():
     with pytest.raises(ConfigurationError):
         build_supernet(small_image_space(candidates=("shuffle3g3",), channels=4))
+
+
+# --- candidates ---
+
+# (name, shape, He fan-in) of each tensor at channels 8, in draw order.
+# A bias draws nothing: its fan-in is None.
+BIAS8 = ("bias", (8,), None)
+CANDIDATE_TENSORS = {
+    "identity": [],
+    "linear16": [("weight", (16, 16), 16), ("bias", (16,), None)],
+    "conv3": [("weight", (8, 8, 3, 3), 72), BIAS8],
+    "conv5": [("weight", (8, 8, 5, 5), 200), BIAS8],
+    "conv7": [("weight", (8, 8, 7, 7), 392), BIAS8],
+    "sep3": [("depthwise", (8, 1, 3, 3), 9), ("pointwise", (8, 8, 1, 1), 8), BIAS8],
+    "sep5": [("depthwise", (8, 1, 5, 5), 25), ("pointwise", (8, 8, 1, 1), 8), BIAS8],
+    "sep7": [("depthwise", (8, 1, 7, 7), 49), ("pointwise", (8, 8, 1, 1), 8), BIAS8],
+}
+for _k, _kk in ((3, 9), (5, 25), (7, 49)):
+    for _g, _per_group in ((1, 8), (2, 4), (4, 2), (8, 1)):
+        CANDIDATE_TENSORS[f"shuffle{_k}g{_g}"] = [
+            ("reduce", (8, _per_group, 1, 1), _per_group),
+            ("depthwise", (8, 1, _k, _k), _kk),
+            ("expand", (8, _per_group, 1, 1), _per_group),
+            BIAS8,
+        ]
+
+
+def _hand_forward(token, t, x):
+    """The candidate's forward, composed by hand from the tensor primitives."""
+    tape = Tape()
+    if token == "identity":
+        return x
+    if token.startswith("linear"):
+        out = tz.matmul(x, t["weight"], tape)
+    elif token.startswith("conv"):
+        out = tz.conv2d(x, t["weight"], tape=tape)
+    elif token.startswith("sep"):
+        out = tz.conv2d(x, t["depthwise"], groups=8, tape=tape)
+        out = tz.conv2d(out, t["pointwise"], tape=tape)
+    else:
+        g = int(token.split("g")[1])
+        out = tz.conv2d(x, t["reduce"], groups=g, tape=tape)
+        out = tz.channel_shuffle(out, g, tape)
+        out = tz.conv2d(out, t["depthwise"], groups=8, tape=tape)
+        out = tz.conv2d(out, t["expand"], groups=g, tape=tape)
+    return tz.relu(tz.bias_add(out, t["bias"], tape), tape)
+
+
+@pytest.mark.parametrize("token", sorted(CANDIDATE_TENSORS))
+def test_candidate_tensors_draws_and_forward_match_a_hand_count(token):
+    op = make_candidate(token, channels=8, rng=np.random.default_rng(41))
+    assert op.kind == token
+    expected = CANDIDATE_TENSORS[token]
+    assert [(n, t.shape) for n, t in op.tensors()] == [(n, s) for n, s, _ in expected]
+
+    rng = np.random.default_rng(41)
+    for (name, t), (_, shape, fan_in) in zip(op.tensors(), expected):
+        if fan_in is None:
+            assert np.array_equal(t.data, np.zeros(shape))
+        else:
+            assert np.array_equal(t.data, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape))
+
+    data_rng = np.random.default_rng(43)
+    for _, t in op.tensors():
+        if t.data.ndim == 1:  # a nonzero bias, so the bias step shows
+            t.data[:] = data_rng.normal(size=t.shape)
+    x = Tensor(data_rng.normal(size=(3, 16) if token == "linear16" else (2, 8, 5, 5)))
+    got = op.forward(x, Tape())
+    want = _hand_forward(token, dict(op.tensors()), x)
+    assert np.array_equal(got.data, want.data)
+    assert np.array_equal(op.forward(x, None).data, want.data)
 
 
 # --- edge probabilities ---

@@ -363,6 +363,18 @@ def test_bias_add_gradients_2d_and_4d():
         assert np.allclose(x.grad, w)
 
 
+@pytest.mark.parametrize("x_shape, b_shape", [
+    ((2, 3, 4), (3,)),  # rank-3 input
+    ((2, 3), (1, 3)),  # 2-d bias
+    ((2, 3), (4,)),  # length mismatch on a 2-d input
+    ((2, 3, 4, 4), (4,)),  # length mismatch on a 4-d input
+])
+def test_bias_add_rejection_names_both_shapes(x_shape, b_shape):
+    with pytest.raises(DimensionError) as exc:
+        tz.bias_add(Tensor(np.zeros(x_shape)), Tensor(np.zeros(b_shape)))
+    assert str(x_shape) in str(exc.value) and str(b_shape) in str(exc.value)
+
+
 # --- tape semantics ---
 
 
