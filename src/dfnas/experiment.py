@@ -75,7 +75,6 @@ class ExperimentArtifacts:
     metrics_path: Path
     child_path: Path
     config_path: Path
-    elapsed_s: float
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
@@ -123,7 +122,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentArtifacts:
         metrics_path=metrics_path,
         child_path=child_path,
         config_path=config_path,
-        elapsed_s=elapsed,
     )
 
 

@@ -89,6 +89,18 @@ def test_layout_check_names_first_divergent_record():
         check_layout(make_blob(("w", (1,), [1.0])).layout, c)
     assert "'w'" in str(exc.value)
 
+    w_only = make_blob(("w", (1,), [1.0]))
+    with pytest.raises(SerializationError, match="missing record 'b'"):
+        check_layout(a.layout, w_only)
+    with pytest.raises(SerializationError, match="unexpected record 'b'"):
+        check_layout(w_only.layout, a)
+
+
+def test_record_name_over_the_u16_length_is_rejected():
+    # 0x8000 characters, 0x10000 UTF-8 bytes: the limit counts bytes
+    with pytest.raises(SerializationError, match="record name too long"):
+        make_blob(("é" * 0x8000, (1,), [1.0])).to_bytes()
+
 
 # --- properties over arbitrary valid blobs ---
 

@@ -57,9 +57,13 @@ def test_all_violations_reported_not_just_first():
     bad = MINIMAL + "\n".join(
         [
             "federation.clients_per_round = 9",
-            "federation.client_pool = 4",
+            "federation.client_pool = 0",
+            "federation.workers = 0",
             "local.epochs = 0",
+            "local.batch_size = 0",
             "data.noise = -2.0",
+            "data.train_samples = 0",
+            "partition.kind = striped",
             "mode = foo",
         ]
     )
@@ -70,13 +74,28 @@ def test_all_violations_reported_not_just_first():
     assert "local.epochs" in msg
     assert "data.noise" in msg
     assert "mode must be dfnas or baseline, got 'foo'" in msg
+    for key in ("federation.client_pool", "federation.workers", "local.batch_size",
+                "data.train_samples"):
+        assert f"{key} must be >= 1, got 0" in msg
+    assert "partition.kind must be iid or dirichlet, got 'striped'" in msg
+
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config_text("data.kind = rings\ndata.classes = 1\ndata.feature_dim = 1\n"
+                          "space.blocks = 0\n")
+    msg = str(exc.value)
+    assert "data.classes must be >= 2, got 1" in msg
+    assert "data.feature_dim must be >= 2 for rings, got 1" in msg
+    assert "space.blocks must be >= 1, got 0" in msg
 
 
 def test_bad_value_and_duplicate_and_syntax():
     with pytest.raises(ConfigurationError) as exc:
-        parse_config_text("master_seed = twelve\nmaster_seed = 3\njust a line\n")
+        parse_config_text("master_seed = twelve\nmaster_seed = 3\njust a line\n"
+                          "federation.checkpoints = maybe\nspace.candidates = ,\n")
     msg = str(exc.value)
     assert "bad value" in msg
+    assert "expected a boolean, got 'maybe'" in msg
+    assert "expected a comma-separated list" in msg
     assert "duplicate" in msg
     assert "key = value" in msg
 

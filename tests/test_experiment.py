@@ -360,6 +360,11 @@ BAD_INPUTS = {
     "run-missing": (["run", "{bad}"], None, "cannot read"),
     "run-not-utf8": (["run", "{bad}"], "scenario = café\n".encode("latin-1"), "not UTF-8"),
     "inspect-missing": (["inspect-child", "{bad}"], None, "cannot read"),
+    "inspect-not-a-child": (["inspect-child", "{bad}"], b"metrics\n", "not a child architecture"),
+    "compare-field-count": (
+        ["compare", "{good}", "{bad}"],
+        (METRICS_HEADER + "\n0,2,0.5,0.69,100,100\n").encode(), "line 2 has 6 fields",
+    ),
     "compare-non-numeric": (
         ["compare", "{good}", "{bad}"],
         (METRICS_HEADER + "\n0,2,high,0.69,100,100,10\n").encode(),

@@ -233,6 +233,8 @@ def test_config_validation():
         raise_problems(LocalSearchConfig(momentum_w=1.0).problems())
     with pytest.raises(ConfigurationError):
         raise_problems(LocalSearchConfig(clip_norm=0.0).problems())
+    with pytest.raises(ConfigurationError, match="batch_size must be >= 1, got 0"):
+        raise_problems(LocalSearchConfig(batch_size=0).problems())
 
 
 def test_clip_norm_limits_update_magnitude():
