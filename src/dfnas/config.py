@@ -9,7 +9,8 @@ reports every violation, not just the first, and a float key rejects NaN.
 `data_specs`, `space_config`, `federation_config` and `local_config` build the
 inputs of each layer by one rule: key `section.x` is field `x` of that
 section's layer config. Only the values no key holds (sample counts, the class
-count, the input shape, the init seed and the baseline's path) are named there.
+count, the input shape, the init seed, the baseline's path and the net's
+float32 dtype) are named there.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ class ExperimentConfig:
 
     local_epochs: int = 2
     local_batch_size: int = 32
-    local_lr_w: float = 0.05
+    # at lr_w 0.05 or with no clip, the default scenario diverges or stays at chance
+    local_lr_w: float = 0.02
     local_lr_alpha: float = 0.003
     local_momentum_w: float = 0.9
-    local_clip_norm: float | None = None
+    local_clip_norm: float | None = 5.0
 
     def resolved_output_dir(self) -> str:
         return self.output_dir or f"runs/{self.scenario}"
@@ -171,6 +173,7 @@ def space_config(config: ExperimentConfig, fixed_path: tuple[int, ...] | None = 
     return _layer(
         SpaceConfig, config, "space", input_shape=input_shape, num_classes=config.data_classes,
         init_seed=derive_seed(config.master_seed, "init"), fixed_path=fixed_path,
+        dtype="float32",
     )
 
 

@@ -160,7 +160,7 @@ def evaluate(net: Supernet, dataset: Dataset) -> tuple[float, float]:
     loss_sum = 0.0
     n = len(dataset)
     for start in range(0, n, EVAL_BATCH):
-        feats = Tensor(dataset.features[start : start + EVAL_BATCH])
+        feats = Tensor(dataset.features[start : start + EVAL_BATCH], dtype=net.space.dtype)
         labels = dataset.labels[start : start + EVAL_BATCH]
         logits = forward_logits(net, selections, feats)
         correct += int((logits.data.argmax(axis=1) == labels).sum())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .blob import ParameterBlob
 from .data import Dataset
-from .errors import raise_problems
+from .errors import NumericalError, raise_problems
 from .seeds import stream
 from .supernet import (
     SpaceConfig,
@@ -95,7 +95,7 @@ def client_local_search(
         losses = []
         for start in range(0, n, config.batch_size):
             batch_idx = order[start : start + config.batch_size]
-            features = Tensor(shard.features[batch_idx])
+            features = Tensor(shard.features[batch_idx], dtype=space.dtype)
             labels = shard.labels[batch_idx]
 
             selections = sample_path(net, rng)
@@ -104,6 +104,8 @@ def client_local_search(
 
             if config.clip_norm is not None:
                 norm = global_grad_norm(optimizer.params)
+                if not math.isfinite(norm):
+                    raise NumericalError(f"clip_norm {config.clip_norm}: gradient norm {norm}")
                 if norm > config.clip_norm:
                     factor = config.clip_norm / norm
                     for p in optimizer.params:

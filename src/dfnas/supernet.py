@@ -179,6 +179,7 @@ class SpaceConfig:
     hidden_width: int = 16
     init_seed: int = 0
     fixed_path: tuple[int, ...] | None = None  # restricts each block to one candidate
+    dtype: str = "float64"  # of weights and activations; blobs and alpha stay float64
 
     def problems(self) -> list[tuple[str, str]]:
         """(field, complaint) for every rule this config breaks."""
@@ -193,6 +194,8 @@ class SpaceConfig:
             found.append(("channels", f"must be >= 1, got {self.channels}"))
         if self.hidden_width < 1:
             found.append(("hidden_width", f"must be >= 1, got {self.hidden_width}"))
+        if self.dtype not in ("float32", "float64"):
+            found.append(("dtype", f"must be float32 or float64, got {self.dtype!r}"))
         if len(self.input_shape) not in (1, 3):
             found.append(("input_shape", f"must be (D,) or (C, H, W), got {self.input_shape}"))
         if self.fixed_path is not None:
@@ -288,7 +291,8 @@ def build_supernet(space: SpaceConfig) -> Supernet:
     """Deterministically construct and initialize a supernet from its config.
 
     Weights use He fan-in scaling, biases and all alpha start at zero, so the
-    round-0 sampling distribution is uniform.
+    round-0 sampling distribution is uniform. Weights are drawn in float64 and
+    then cast to `space.dtype`, so the draws do not depend on the dtype.
     """
     raise_problems(space.problems())
     rng = np.random.default_rng(space.init_seed)
@@ -312,7 +316,10 @@ def build_supernet(space: SpaceConfig) -> Supernet:
         ]))
 
     head = Affine(feature_count, space.num_classes, rng)
-    return Supernet(space, stem, edges, head)
+    net = Supernet(space, stem, edges, head)
+    for t in net.parameters():
+        t.data = t.data.astype(space.dtype, copy=False)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,7 @@ def forward_path(
             f"{net.space.input_shape}"
         )
     tape = Tape()
-    x = net.stem.forward(features, tape)
+    x = net.stem.forward(_in_net_dtype(net, features), tape)
     outputs = []
     for edge, idx in zip(net.edges, selections):
         x = edge.candidates[idx].forward(x, tape)
@@ -365,6 +372,12 @@ def forward_path(
     logits = net.head.forward(x, tape)
     loss = tz.softmax_cross_entropy(logits, labels, tape)
     return loss, tape, outputs
+
+
+def _in_net_dtype(net: Supernet, features: Tensor) -> Tensor:
+    """The batch in the net's dtype: a float64 batch would upcast every float32 op."""
+    same = features.data.dtype == net.space.dtype
+    return features if same else Tensor(features.data, dtype=net.space.dtype)
 
 
 def mask_gradient(output: Tensor) -> float:
@@ -376,7 +389,7 @@ def forward_logits(
     net: Supernet, selections: tuple[int, ...] | list[int], features: Tensor
 ) -> Tensor:
     """Deterministic unmasked forward along a fixed path (no tape)."""
-    x = net.stem.forward(features, None)
+    x = net.stem.forward(_in_net_dtype(net, features), None)
     for edge, idx in zip(net.edges, selections):
         x = edge.candidates[idx].forward(x, None)
     return net.head.forward(x, None)
@@ -474,10 +487,11 @@ def expected_layout(net: Supernet, include_alpha: bool = True) -> Layout:
 
 
 def flatten_params(net: Supernet, include_alpha: bool = True) -> ParameterBlob:
-    """Copy all weights (and optionally all alpha) into one blob, in canonical order."""
+    """Copy all weights (and optionally all alpha) into one float64 blob, in canonical order."""
     return ParameterBlob(
         layout=expected_layout(net, include_alpha),
-        values=np.concatenate([a.ravel() for _, a in _named_arrays(net, include_alpha)]),
+        values=np.concatenate([a.ravel() for _, a in _named_arrays(net, include_alpha)],
+                              dtype=np.float64),
     )
 
 
@@ -485,7 +499,8 @@ def unflatten_params(net: Supernet, blob: ParameterBlob) -> None:
     """Load a blob into the net, validating the full layout first.
 
     A blob without alpha records (fixed-architecture exchange) loads weights
-    only. Any divergence reports the first mismatching record by name.
+    only; a float32 net rounds each weight once. Any divergence reports the
+    first mismatching record by name.
     """
     check_layout(expected_layout(net, include_alpha=blob.has_alpha()), blob)
     offset = 0

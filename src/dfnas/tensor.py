@@ -1,11 +1,11 @@
-"""Dense float64 tensors with tape-based reverse-mode automatic differentiation.
+"""Dense tensors with tape-based reverse-mode automatic differentiation.
 
 Deliberately small: just the primitives needed to express convolutional
 candidate operations, a linear classifier head and the cross-entropy training
 loss, each with an exact backward rule. No mask goes on the tape; `scale`, a
 tensor times a scalar tensor, remains only as the tests' unit-mask oracle.
-Everything is float64 so gradient checks and aggregation identities have
-headroom.
+Every primitive computes in the dtype of its inputs. The training net runs
+in float32; the gradient checks run in float64, which gives them headroom.
 
 A tape and its tensors belong to one worker at a time; hand them off whole,
 never share them mutably. There is no global state.
@@ -33,12 +33,16 @@ def _ensure_finite(arr: np.ndarray, op: str) -> None:
 
 
 class Tensor:
-    """A dense float64 array plus a gradient slot of the same shape."""
+    """A dense array plus a gradient slot of the same shape and dtype. Without a
+    `dtype`, a float32 or float64 array keeps its dtype; anything else becomes
+    float64."""
 
     __slots__ = ("data", "grad", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.array(data, dtype=np.float64)  # copy: a tensor owns its storage
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
+        arr = np.array(data, dtype=dtype)  # copy: a tensor owns its storage
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float64)
         _ensure_finite(arr, "Tensor")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -232,10 +236,10 @@ def _columns(a: np.ndarray, k: int) -> np.ndarray:
     c, h, w, n = a.shape
     p = k // 2
     if p:  # a 1x1 kernel's one window is `a` itself
-        padded = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=np.float64)
+        padded = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=a.dtype)
         padded[:, p : p + h, p : p + w] = a
         a = padded
-    cols = np.empty((c, k, k, h, w, n), dtype=np.float64)
+    cols = np.empty((c, k, k, h, w, n), dtype=a.dtype)
     for i in range(k):
         for j in range(k):
             cols[:, i, j] = a[:, i : i + h, j : j + w]
@@ -419,9 +423,10 @@ class SGD:
 
 
 def global_grad_norm(params: Sequence[Tensor]) -> float:
-    """L2 norm over all gradients of `params` (for optional clipping)."""
+    """L2 norm over all gradients of `params`, squared and summed in float64
+    (a float32 square overflows from |g| = 1.8e19)."""
     total = 0.0
     for p in params:
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            total += float(np.square(p.grad, dtype=np.float64).sum())
     return float(np.sqrt(total))

@@ -40,7 +40,7 @@ def test_minimal_config_fills_defaults():
     assert config.scenario == "demo"
     assert config.master_seed == 0
     assert config.federation_rounds == 40
-    assert config.local_lr_w == 0.05
+    assert config.local_lr_w == 0.02
     assert config.federation_server_alpha_threshold == float("-inf")
     assert config.space_candidates == ("linear8", "identity")
 
@@ -207,6 +207,7 @@ def test_round_trip_preserves_infinity_and_none():
     config = ExperimentConfig(
         data_kind="blobs", data_classes=2, data_feature_dim=4,
         space_candidates=("linear8",), space_hidden_width=8, space_blocks=1,
+        local_clip_norm=None,
     )
     again = parse_config_text(serialize_config(config))
     assert again.federation_server_alpha_threshold == float("-inf")

@@ -160,6 +160,19 @@ def test_dirichlet_skew_decreases_with_concentration():
     assert mean_entropies[0] <= mean_entropies[1] <= mean_entropies[2]
 
 
+def test_dirichlet_mean_class_share_is_one_over_k():
+    # By symmetry each client expects 1/K of every class. Over 1000 splits a
+    # mean share at concentration 0.5 has a standard deviation of 0.0079.
+    ds = generate_synthetic(spec(n_samples=800), np.random.default_rng(0))
+    class_sizes = np.bincount(ds.labels, minlength=4)
+    shares = np.zeros((4, 4))  # client x class
+    for seed in range(1000):
+        part = dirichlet_split(ds, 4, 0.5, np.random.default_rng(seed))
+        for k, shard in enumerate(part.client_indices):
+            shares[k] += np.bincount(ds.labels[shard], minlength=4) / class_sizes
+    assert np.abs(shares / 1000 - 0.25).max() < 0.04
+
+
 def test_dirichlet_rejects_bad_arguments():
     ds = generate_synthetic(spec(), np.random.default_rng(0))
     with pytest.raises(ConfigurationError):

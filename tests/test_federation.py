@@ -417,3 +417,25 @@ def test_one_client_federation_matches_segmented_run_with_momentum():
         current = client_local_search(current, train, space, local, seed=client_seed,
                                       first_epoch=t * local.epochs).blob
         assert current.to_bytes() == round_blobs[t]
+
+
+def test_one_client_float32_federation_equals_centralized_run():
+    """Criterion 4 in float32 with conv candidates: the wire widens each weight
+    exactly and loading narrows it back exactly, so the federation adds nothing."""
+    spec = DataSpec(kind="patches", n_samples=64, num_classes=2, noise=0.3, image_size=4)
+    train = generate_synthetic(spec, np.random.default_rng(20))
+    test = generate_synthetic(replace(spec, n_samples=32), np.random.default_rng(21))
+    space = SpaceConfig(
+        blocks=2, candidates=("conv3", "sep3", "identity"), input_shape=(1, 4, 4),
+        num_classes=2, channels=2, init_seed=2, dtype="float32",
+    )
+    fed = FederationConfig(rounds=3, client_pool=1, clients_per_round=1, master_seed=4)
+    local = LocalSearchConfig(epochs=2, batch_size=16, lr_w=0.05, lr_alpha=0.01, momentum_w=0.0)
+    partition = Partition(client_indices=[np.arange(64)], parent_size=64)
+    result = run_federated_search(train, test, partition, space, fed, local)
+
+    blob = flatten_params(build_supernet(space))
+    centralized = client_local_search(
+        blob, train, space, replace(local, epochs=6), seed=derive_seed(4, "client", 0)
+    ).blob
+    assert centralized.to_bytes() == result.final_blob.to_bytes()

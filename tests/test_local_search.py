@@ -254,3 +254,23 @@ def test_clip_norm_limits_update_magnitude():
         return float(np.abs(report.blob.values - blob.values).sum())
 
     assert total_drift(clipped) < total_drift(free)
+
+
+def test_grad_norm_sums_float32_squares_in_float64():
+    # 1e20 squared overflows float32; the norm, 2e20, does not
+    p = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
+    p.grad = np.full(4, 1e20, dtype=np.float32)
+    assert tz.global_grad_norm([p]) == pytest.approx(2e20, rel=1e-6)
+
+
+def test_clip_rejects_an_infinite_gradient_norm_instead_of_zeroing_the_step():
+    # features of 1e160 keep every float64 activation and gradient finite, but
+    # the squares of the head's gradient overflow: no clip factor exists
+    shard = blob_shard(n=8)
+    shard = Dataset(shard.features * 1e160, shard.labels, shard.num_classes)
+    space = vector_space()
+    config = LocalSearchConfig(epochs=1, batch_size=8, clip_norm=5.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="clip_norm 5.0"):
+            client_local_search(flatten_params(build_supernet(space)), shard, space, config,
+                                seed=0)

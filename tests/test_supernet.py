@@ -107,6 +107,7 @@ def test_build_rejects_bad_shuffle_groups():
     ({"candidates": ()}, "candidates must list at least one candidate"),
     ({"num_classes": 1}, "num_classes must be >= 2, got 1"),
     ({"input_shape": (4, 4)}, "input_shape must be (D,) or (C, H, W), got (4, 4)"),
+    ({"dtype": "float16"}, "dtype must be float32 or float64, got 'float16'"),
 ])
 def test_bad_space_field_is_rejected_naming_it(overrides, names):
     with pytest.raises(ConfigurationError) as exc:
@@ -532,3 +533,39 @@ def test_blob_size_manual_audit():
     assert blob.layout == tuple(layout)
     assert len(raw) == expected
     assert blob.nbytes() == expected
+
+
+# --- dtype ---
+
+
+@pytest.mark.parametrize("candidates", [("conv3", "sep3"), ("shuffle5g2", "identity")])
+def test_float32_tape_holds_no_float64_tensor_or_gradient(candidates, monkeypatch):
+    space = small_image_space(blocks=2, candidates=candidates, dtype="float32")
+    net = build_supernet(space)
+    features, labels = batch_for(space)  # a float64 batch, cast on entry
+    seen = []
+    record = Tape.record
+
+    def spy(self, inputs, output, backward):
+        seen.extend((*inputs, output))
+        record(self, inputs, output, backward)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    loss, tape, _ = forward_path(net, (0, 1), features, labels)
+    tape.backward(loss)
+    assert {t.data.dtype for t in seen} == {np.dtype(np.float32)}
+    assert {t.grad.dtype for t in seen if t.grad is not None} == {np.dtype(np.float32)}
+    assert forward_logits(net, (0, 1), features).data.dtype == np.float32
+
+
+def test_float32_net_draws_the_float64_weights_rounded_and_blobs_stay_float64():
+    wide = build_supernet(small_image_space())
+    narrow = build_supernet(small_image_space(dtype="float32"))
+    for (_, a), (_, b) in zip(wide.weight_items(), narrow.weight_items()):
+        assert np.array_equal(a.data.astype(np.float32), b.data)
+    for include_alpha in (True, False):
+        blob = flatten_params(narrow, include_alpha)
+        assert blob.values.dtype == np.float64
+        unflatten_params(wide, blob)  # widening is exact, so the round trip is too
+        unflatten_params(narrow, flatten_params(wide, include_alpha))
+        assert flatten_params(narrow, include_alpha).to_bytes() == blob.to_bytes()

@@ -543,3 +543,50 @@ def test_determinism_bit_identical_across_runs():
     second = run()
     assert first[0] == second[0]
     assert first[1] == second[1]
+
+
+# --- dtype ---
+
+
+# primitive -> (input shapes, call); every input requires grad
+PRIMITIVES = {
+    "matmul": ([(3, 4), (4, 2)], tz.matmul),
+    "add": ([(2, 3), (2, 3)], tz.add),
+    "mul": ([(2, 3), (2, 3)], tz.mul),
+    "scale": ([(2, 3), ()], tz.scale),
+    "relu": ([(2, 3)], tz.relu),
+    "bias_add-2d": ([(2, 3), (3,)], tz.bias_add),
+    "bias_add-4d": ([(2, 3, 4, 4), (3,)], tz.bias_add),
+    "conv2d-k1g2": (
+        [(2, 4, 4, 4), (4, 2, 1, 1)], lambda x, k, tape: tz.conv2d(x, k, groups=2, tape=tape)),
+    "conv2d-k3": ([(2, 2, 4, 4), (3, 2, 3, 3)], lambda x, k, tape: tz.conv2d(x, k, tape=tape)),
+    "channel_shuffle": ([(2, 4, 3, 3)], lambda x, tape: tz.channel_shuffle(x, 2, tape)),
+    "flatten_batch": ([(2, 3, 2, 2)], tz.flatten_batch),
+    "sum_all": ([(2, 3)], tz.sum_all),
+    "softmax_cross_entropy": (
+        [(3, 4)], lambda x, tape: tz.softmax_cross_entropy(x, np.array([0, 3, 1]), tape)),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", PRIMITIVES)
+def test_primitive_computes_in_its_inputs_dtype(case, dtype):
+    shapes, call = PRIMITIVES[case]
+    rng = np.random.default_rng(5)
+    inputs = [Tensor(rng.normal(size=s).astype(dtype), requires_grad=True) for s in shapes]
+    tape = Tape()
+    out = call(*inputs, tape=tape)
+    tape.backward(tz.sum_all(out, tape) if out.size > 1 else out)
+    assert out.data.dtype == dtype
+    assert [t.grad.dtype for t in inputs] == [dtype] * len(inputs)
+
+
+def test_tensor_keeps_a_float_arrays_dtype_and_widens_the_rest():
+    assert Tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    assert Tensor(np.ones(2)).data.dtype == np.float64
+    for data in ([1, 2], [1.0, 2.0], np.arange(2), np.array([True]), np.ones(2, np.float16)):
+        assert Tensor(data).data.dtype == np.float64
+    # a named dtype converts in the one copy; a value it cannot hold is rejected there
+    assert Tensor(np.ones(2), dtype=np.float32).data.dtype == np.float32
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="Tensor"):
+        Tensor(np.full(2, 1e39), dtype=np.float32)
