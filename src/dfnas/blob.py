@@ -60,7 +60,7 @@ class ParameterBlob:
             parts.append(struct.pack("<H", len(encoded)))
             parts.append(encoded)
             parts.append(struct.pack(f"<B{len(shape)}I", len(shape), *shape))
-            parts.append(payload[offset : offset + size].tobytes())
+            parts.append(payload[offset : offset + size])  # a view: the join copies it once
             offset += size
         return b"".join(parts)
 

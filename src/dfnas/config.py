@@ -205,6 +205,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         for name, complaint in layer.problems():
             key = keys.get(name, f"{section}.{name}")
             problems.append(f"{key if key in KEY_TABLE else name} {complaint}")
+    if config.federation_workers < 1:  # processes that rank fixed paths
+        problems.append(f"federation.workers must be >= 1, got {config.federation_workers}")
     if config.partition_kind not in ("iid", "dirichlet"):
         problems.append(f"partition.kind must be iid or dirichlet, got {config.partition_kind!r}")
     concentration = config.partition_concentration

@@ -1,7 +1,7 @@
 """Server-side orchestration: rounds of dispatch, local search and aggregation.
 
 Each round the server sends the current (w, alpha) blob to K selected clients,
-runs their local search in parallel, then replaces both the weights and the
+runs their local search in order, then replaces both the weights and the
 architecture parameters with the sample-weighted average of the clients'
 post-update values. A client's run is a pure function of (blob, shard, space,
 config, seed, first epoch); the server picks the last two. Exactly one blob
@@ -13,7 +13,7 @@ independent of completion order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused: bench/tracer.py patches the name
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,7 +49,6 @@ class FederationConfig:
     clients_per_round: int
     weighting: str = "proportional"
     server_alpha_threshold: float = float("-inf")
-    workers: int = 1
     master_seed: int = 0
 
     def problems(self) -> list[tuple[str, str]]:
@@ -69,8 +68,6 @@ class FederationConfig:
                 "weighting",
                 f"must be {' or '.join(WEIGHTING_MODES)}, got {self.weighting!r}",
             ))
-        if self.workers < 1:
-            found.append(("workers", f"must be >= 1, got {self.workers}"))
         return found
 
 
@@ -99,6 +96,16 @@ class ClientFailure(DfnasError):
         super().__init__(f"round {round_index}: client {client_id} failed: {cause}")
         self.round_index = round_index
         self.client_id = client_id
+        self.cause = cause
+
+
+class ServerFailure(DfnasError):
+    """The server's own aggregation or evaluation failed, not a client."""
+
+    def __init__(self, round_index: int, phase: str, cause: Exception):
+        super().__init__(f"round {round_index}: server {phase} failed: {cause}")
+        self.round_index = round_index
+        self.phase = phase
         self.cause = cause
 
 
@@ -146,7 +153,7 @@ def aggregate(blobs: list[ParameterBlob], weights: list[float]) -> ParameterBlob
         check_layout(blobs[0].layout, other)
     acc = weights[0] * blobs[0].values
     for blob, w in zip(blobs[1:], weights[1:]):
-        acc = acc + w * blob.values
+        acc += w * blob.values
     return ParameterBlob(layout=blobs[0].layout, values=acc)
 
 
@@ -211,28 +218,29 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
         except DfnasError as err:
             raise ClientFailure(round_index, cid, err) from err
 
-    # one worker maps on the calling thread: a one-thread pool only adds memory
-    if cfg.workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outputs = list(pool.map(client_task, selected))
-    else:
-        outputs = list(map(client_task, selected))
+    # in order on the calling thread: client threads lose to the GIL and to
+    # re-faulted malloc arenas (CHANGES.md has the measurements)
+    outputs = list(map(client_task, selected))
     bytes_up = sum(n for n, _, _ in outputs)
 
     sizes = [state.shards[cid].features.shape[0] for cid in selected]
     weights = client_weights(cfg.weighting, sizes)
     blobs_by_id = {cid: blob for cid, (_, blob, _) in zip(selected, outputs)}
     weights_by_id = dict(zip(selected, weights))
-    aggregated = aggregate_by_client(blobs_by_id, weights_by_id)
-
-    state.global_blob = aggregated
-    unflatten_params(state.net, aggregated)
-    # pruning is a server-side decision: prune masks are not part of the wire
-    # format, so clients always sample from the full space. The default
-    # threshold, -inf, prunes nothing.
-    prune_edges(state.net, cfg.server_alpha_threshold)
-
-    test_acc, test_loss = evaluate(state.net, state.test_set)
+    try:
+        aggregated = aggregate_by_client(blobs_by_id, weights_by_id)
+        state.global_blob = aggregated
+        unflatten_params(state.net, aggregated)
+        # pruning is a server-side decision: prune masks are not part of the
+        # wire format, so clients always sample from the full space. The
+        # default threshold, -inf, prunes nothing.
+        prune_edges(state.net, cfg.server_alpha_threshold)
+    except DfnasError as err:
+        raise ServerFailure(round_index, "aggregation", err) from err
+    try:
+        test_acc, test_loss = evaluate(state.net, state.test_set)
+    except DfnasError as err:
+        raise ServerFailure(round_index, "evaluation", err) from err
     work_units = sum(executions for _, _, executions in outputs) + len(state.test_set)
 
     return RoundRecord(

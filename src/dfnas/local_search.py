@@ -4,7 +4,8 @@ Each batch: sample a path, run only that path forward, backpropagate, update
 the network weights by SGD, then update every block's alpha with the
 score-function rule scaled by its mask gradient, read off the block output.
 The whole run is a pure function of (parameter blob, shard, space, config,
-seed, first epoch), so clients can execute in parallel without sharing state.
+seed, first epoch), so the server runs its clients in order and no client
+sees another's state.
 Pruning is left to the server.
 """
 
@@ -27,7 +28,6 @@ from .supernet import (
     forward_path,
     mask_gradient,
     sample_path,
-    unflatten_params,
 )
 from .tensor import SGD, Tensor, global_grad_norm
 
@@ -80,8 +80,7 @@ def client_local_search(
     """
     raise_problems(config.problems())
 
-    net = build_supernet(space)
-    unflatten_params(net, initial)
+    net = build_supernet(space, initial)
     search_mode = initial.has_alpha()
 
     optimizer = SGD(net.parameters(), lr=config.lr_w, momentum=config.momentum_w)

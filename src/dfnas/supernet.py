@@ -36,9 +36,12 @@ VALID_KERNELS = (3, 5, 7)
 # candidate operations
 
 
-def _he_init(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+def _he_init(rng: np.random.Generator | None, shape: tuple[int, ...]) -> Tensor:
     """He-normal weights whose fan-in is every axis but the output axis: axis 0
-    of an (F, C/groups, k, k) kernel, axis 1 of an (in, out) dense weight."""
+    of an (F, C/groups, k, k) kernel, axis 1 of an (in, out) dense weight.
+    Without an rng, zeros that a blob is about to overwrite: nothing is drawn."""
+    if rng is None:
+        return _zeros(shape)
     fan_in = math.prod(shape) // shape[0 if len(shape) == 4 else 1]
     std = math.sqrt(2.0 / fan_in)
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
@@ -78,7 +81,7 @@ class Conv(CandidateOp):
     (channels, channels / groups, k, k) and drawn in step order; the step
     named "shuffle" interleaves `groups` channel bands instead."""
 
-    def __init__(self, kind: str, channels: int, steps: tuple, rng: np.random.Generator):
+    def __init__(self, kind: str, channels: int, steps: tuple, rng: np.random.Generator | None):
         self.kind = kind
         self.steps = steps
         for name, k, groups in steps:
@@ -98,7 +101,7 @@ class Conv(CandidateOp):
 class LinearReLU(CandidateOp):
     """Dense layer with ReLU for vector-shaped feature chains."""
 
-    def __init__(self, width: int, rng: np.random.Generator):
+    def __init__(self, width: int, rng: np.random.Generator | None):
         self.kind = f"linear{width}"
         self.weight = _he_init(rng, (width, width))
         self.bias = _zeros((width,))
@@ -116,7 +119,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def make_candidate(token: str, *, channels: int, rng: np.random.Generator) -> CandidateOp:
+def make_candidate(token: str, *, channels: int, rng: np.random.Generator | None) -> CandidateOp:
     """Build one candidate op from a token that `SpaceConfig.problems()` accepts."""
     m = _TOKEN_RE.fullmatch(token)
     if m["lw"]:
@@ -143,7 +146,7 @@ def make_candidate(token: str, *, channels: int, rng: np.random.Generator) -> Ca
 class PointwiseStem(Layer):
     """Affine 1x1 channel lift for image inputs (no spatial extent)."""
 
-    def __init__(self, in_channels: int, channels: int, rng: np.random.Generator):
+    def __init__(self, in_channels: int, channels: int, rng: np.random.Generator | None):
         self.weight = _he_init(rng, (channels, in_channels, 1, 1))
         self.bias = _zeros((channels,))
 
@@ -154,7 +157,7 @@ class PointwiseStem(Layer):
 class Affine(Layer):
     """Flatten if 4-d, then x @ W + b: the vector stem and the classifier head."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator | None):
         self.weight = _he_init(rng, (in_features, out_features))
         self.bias = _zeros((out_features,))
 
@@ -287,15 +290,17 @@ class Supernet:
         return [t for _, t in self.weight_items()]
 
 
-def build_supernet(space: SpaceConfig) -> Supernet:
+def build_supernet(space: SpaceConfig, initial: ParameterBlob | None = None) -> Supernet:
     """Deterministically construct and initialize a supernet from its config.
 
     Weights use He fan-in scaling, biases and all alpha start at zero, so the
     round-0 sampling distribution is uniform. Weights are drawn in float64 and
     then cast to `space.dtype`, so the draws do not depend on the dtype.
+    Given an `initial` blob, nothing is drawn: the net holds that blob's values,
+    loaded by `unflatten_params`.
     """
     raise_problems(space.problems())
-    rng = np.random.default_rng(space.init_seed)
+    rng = None if initial is not None else np.random.default_rng(space.init_seed)
     image = len(space.input_shape) == 3
     if image:
         in_channels, h, w = space.input_shape
@@ -319,6 +324,8 @@ def build_supernet(space: SpaceConfig) -> Supernet:
     net = Supernet(space, stem, edges, head)
     for t in net.parameters():
         t.data = t.data.astype(space.dtype, copy=False)
+    if initial is not None:
+        unflatten_params(net, initial)
     return net
 
 

@@ -11,11 +11,13 @@ import pytest
 
 from conftest import make_blob
 from dfnas.data import DataSpec, Dataset, Partition, generate_synthetic, iid_split
-from dfnas.errors import ConfigurationError, SerializationError, raise_problems
+from dfnas import federation
+from dfnas.errors import ConfigurationError, NumericalError, SerializationError, raise_problems
 from dfnas.federation import (
     ClientFailure,
     FederationConfig,
     FederationState,
+    ServerFailure,
     aggregate,
     aggregate_by_client,
     client_weights,
@@ -210,7 +212,7 @@ def test_accuracy_matches_hand_confusion_tally():
 
 def small_run(
     pool=2, k=2, rounds=2, weighting="proportional", seed=0,
-    epochs=1, momentum=0.9, callback=None, space=None, workers=1,
+    epochs=1, momentum=0.9, callback=None, space=None,
 ):
     train = blob_data(n=80, seed=11)
     test = blob_data(n=40, seed=12)
@@ -218,7 +220,7 @@ def small_run(
     partition = iid_split(train, pool, stream(seed, "partition"))
     fed = FederationConfig(
         rounds=rounds, client_pool=pool, clients_per_round=k, weighting=weighting,
-        master_seed=seed, workers=workers,
+        master_seed=seed,
     )
     local = LocalSearchConfig(
         epochs=epochs, batch_size=16, lr_w=0.05, lr_alpha=0.01, momentum_w=momentum
@@ -288,13 +290,6 @@ def test_history_and_child_shape():
     assert 0.0 <= result.history[-1].test_acc <= 1.0
 
 
-def test_threaded_dispatch_matches_sequential():
-    a = small_run(pool=4, k=4, rounds=2, workers=1)
-    b = small_run(pool=4, k=4, rounds=2, workers=4)
-    assert a.final_blob.to_bytes() == b.final_blob.to_bytes()
-    assert [r.test_acc for r in a.history] == [r.test_acc for r in b.history]
-
-
 def test_equal_shards_make_weighting_modes_identical():
     a = small_run(pool=4, k=4, rounds=2, weighting="proportional")
     b = small_run(pool=4, k=4, rounds=2, weighting="uniform")
@@ -309,23 +304,48 @@ def test_baseline_mode_exchanges_weights_only():
     assert result.child.kinds == ("linear8", "identity")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.errstate stays on this thread
-def test_client_failure_aborts_round_with_id(workers):
-    train = blob_data(n=40, seed=11)
+@pytest.mark.parametrize("failing", [1, 2])
+def test_client_failure_aborts_round_with_id(failing):
+    train = blob_data(n=60, seed=11)
     bad = train.features.copy()
-    bad[:10] = 1e200  # client 0's rows blow up
+    bad[20 * failing : 20 * failing + 10] = 1e200  # the failing client's rows blow up
     train = Dataset(features=bad, labels=train.labels, num_classes=train.num_classes)
     test = blob_data(n=20, seed=12)
-    partition = Partition(client_indices=[np.arange(10), np.arange(10, 40)], parent_size=40)
-    fed = FederationConfig(rounds=1, client_pool=2, clients_per_round=2, master_seed=0,
-                           workers=workers)
+    partition = Partition(client_indices=np.split(np.arange(60), 3), parent_size=60)
+    fed = FederationConfig(rounds=1, client_pool=3, clients_per_round=3, master_seed=0)
     local = LocalSearchConfig(epochs=1, batch_size=8, lr_w=0.05)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ClientFailure) as exc:
             run_federated_search(train, test, partition, vector_space(), fed, local)
-    assert exc.value.client_id == 0
-    assert "client 0" in str(exc.value)
+    assert exc.value.round_index == 0 and exc.value.client_id == failing
+    assert str(exc.value).startswith(f"round 0: client {failing} failed: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_server_evaluation_failure_names_the_round_and_the_server():
+    train = blob_data(n=40, seed=11)
+    test = blob_data(n=20, seed=12)
+    test = Dataset(features=test.features * 1e308, labels=test.labels, num_classes=2)
+    partition = iid_split(train, 2, stream(0, "partition"))
+    fed = FederationConfig(rounds=1, client_pool=2, clients_per_round=2, master_seed=0)
+    with pytest.raises(ServerFailure) as exc:
+        run_federated_search(train, test, partition, vector_space(), fed, LocalSearchConfig())
+    assert (exc.value.round_index, exc.value.phase) == (0, "evaluation")
+    assert isinstance(exc.value.cause, NumericalError)
+    assert str(exc.value) == f"round 0: server evaluation failed: {exc.value.cause}"
+
+
+def test_server_aggregation_failure_names_the_round_and_the_server(monkeypatch):
+    def mismatched(blobs_by_id, weights_by_id):
+        raise SerializationError("layout mismatch: missing record 'head.bias'")
+
+    monkeypatch.setattr(federation, "aggregate_by_client", mismatched)
+    with pytest.raises(ServerFailure) as exc:
+        small_run(rounds=1)
+    assert (exc.value.round_index, exc.value.phase) == (0, "aggregation")
+    assert str(exc.value) == (
+        "round 0: server aggregation failed: layout mismatch: missing record 'head.bias'"
+    )
 
 
 def test_pool_partition_size_must_match():
@@ -357,9 +377,6 @@ def test_config_validation():
                                         weighting="median").problems())
     with pytest.raises(ConfigurationError, match="client_pool must be >= 1, got 0"):
         raise_problems(FederationConfig(rounds=1, client_pool=0, clients_per_round=1).problems())
-    with pytest.raises(ConfigurationError, match="workers must be >= 1, got 0"):
-        raise_problems(FederationConfig(rounds=1, client_pool=2, clients_per_round=1,
-                                        workers=0).problems())
 
 
 def test_server_pruning_constrains_child_derivation():

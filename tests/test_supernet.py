@@ -508,6 +508,31 @@ def test_blob_without_alpha_loads_weights_only():
     assert flatten_params(other, include_alpha=False).to_bytes() == blob.to_bytes()
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("include_alpha", [True, False])
+def test_net_built_from_a_blob_holds_it_byte_for_byte(include_alpha, dtype, monkeypatch):
+    space = small_image_space(candidates=("sep3", "conv3", "identity"), dtype=dtype)
+    source = build_supernet(space)
+    rng = np.random.default_rng(4)
+    for edge in source.edges:
+        edge.alpha[:] = rng.normal(size=edge.alpha.shape)
+    blob = flatten_params(source, include_alpha=include_alpha)
+
+    def no_draws(*args):
+        raise AssertionError("a net built from a blob drew its weights")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    net = build_supernet(space, blob)
+    assert flatten_params(net, include_alpha=include_alpha).to_bytes() == blob.to_bytes()
+    assert {t.data.dtype.name for t in net.parameters()} == {dtype}
+
+
+def test_building_from_a_mismatched_blob_names_the_record():
+    blob = flatten_params(build_supernet(small_image_space(blocks=3)))
+    with pytest.raises(SerializationError, match="got 'block02.cand0.weight', expected 'head"):
+        build_supernet(small_image_space(blocks=2), blob)
+
+
 def test_blob_size_manual_audit():
     """Byte count recomputed record by record from the documented layout."""
     space = small_image_space(blocks=2, candidates=("conv3",), channels=2)
