@@ -57,7 +57,7 @@ class ExperimentConfig:
     federation_clients_per_round: int = 4
     federation_weighting: str = "proportional"  # uniform | proportional
     federation_server_alpha_threshold: float = float("-inf")
-    federation_workers: int = 1
+    federation_workers: int = 1  # processes that rank fixed paths
     federation_checkpoints: bool = False
 
     local_epochs: int = 2
@@ -205,7 +205,7 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         for name, complaint in layer.problems():
             key = keys.get(name, f"{section}.{name}")
             problems.append(f"{key if key in KEY_TABLE else name} {complaint}")
-    if config.federation_workers < 1:  # processes that rank fixed paths
+    if config.federation_workers < 1:
         problems.append(f"federation.workers must be >= 1, got {config.federation_workers}")
     if config.partition_kind not in ("iid", "dirichlet"):
         problems.append(f"partition.kind must be iid or dirichlet, got {config.partition_kind!r}")

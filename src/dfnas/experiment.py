@@ -185,11 +185,12 @@ def rank_fixed_paths(
 ) -> list[PathRank]:
     """Centrally train every fixed path and rank by server-test accuracy.
 
-    Expensive, so paths are spread over `federation.workers` processes (at
-    most one per core), and results can be cached on disk keyed by the
-    scenario inputs, which leave out the process count; a cache that does not
-    parse, or does not rank every path once, counts as a miss. Returned
-    sorted best first (accuracy, then lower loss).
+    Expensive, so paths are spread over `federation.workers` spawned
+    processes (at most one per core; a script calling this with more than one
+    needs the `if __name__ == "__main__":` guard), and results can be cached
+    on disk keyed by the scenario inputs, which leave out the process count;
+    a cache that does not parse, or does not rank every path once, counts as
+    a miss. Returned sorted best first (accuracy, then lower loss).
     """
     key = _ranking_cache_key(config, epochs)
     paths = list(itertools.product(range(len(config.space_candidates)),
