@@ -57,7 +57,7 @@ class ExperimentConfig:
     federation_clients_per_round: int = 4
     federation_weighting: str = "proportional"  # uniform | proportional
     federation_server_alpha_threshold: float = float("-inf")
-    federation_workers: int = 1  # processes that rank fixed paths
+    federation_workers: int = 1  # unused (clients run in order); kept so older configs parse
     federation_checkpoints: bool = False
 
     local_epochs: int = 2

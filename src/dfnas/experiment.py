@@ -12,16 +12,13 @@ federated search (or the fixed-architecture baseline), and writes:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -162,20 +159,6 @@ def _ranking_cache_key(config: ExperimentConfig, epochs: int) -> str:
     return hashlib.sha256(repr(inputs).encode()).hexdigest()
 
 
-def _rank_path(
-    config: ExperimentConfig, train: Dataset, test: Dataset, epochs: int, path: tuple[int, ...]
-) -> PathRank:
-    """Train one fixed path centrally by the ranking recipe and evaluate it."""
-    sp = space_config(config, fixed_path=path)
-    net = build_supernet(sp)
-    blob = flatten_params(net, include_alpha=False)
-    seed = derive_seed(config.master_seed, "ranking", *path)
-    report = client_local_search(blob, train, sp, _ranking_recipe(config, epochs), seed=seed)
-    unflatten_params(net, report.blob)
-    acc, _ = evaluate(net, test)
-    return PathRank(path=path, test_acc=acc, final_loss=report.epoch_losses[-1])
-
-
 def rank_fixed_paths(
     config: ExperimentConfig,
     train: Dataset,
@@ -185,10 +168,7 @@ def rank_fixed_paths(
 ) -> list[PathRank]:
     """Centrally train every fixed path and rank by server-test accuracy.
 
-    Expensive, so paths are spread over `federation.workers` spawned
-    processes (at most one per core; a script calling this with more than one
-    needs the `if __name__ == "__main__":` guard), and results can be cached
-    on disk keyed by the scenario inputs, which leave out the process count;
+    Expensive, so results can be cached on disk keyed by the scenario inputs;
     a cache that does not parse, or does not rank every path once, counts as
     a miss. Returned sorted best first (accuracy, then lower loss).
     """
@@ -207,15 +187,17 @@ def rank_fixed_paths(
         except (OSError, ValueError, KeyError, TypeError):
             pass  # missing, torn or foreign: recompute and overwrite
 
-    processes = min(config.federation_workers, os.cpu_count() or 1, len(paths))
-    rank_path = functools.partial(_rank_path, config, train, test, epochs)
-    if processes == 1:
-        ranks = list(map(rank_path, paths))
-    else:
-        # each path is a pure function of its inputs, so ranks do not depend on
-        # the process count; a failed path cancels the paths not yet started
-        with ProcessPoolExecutor(processes, mp_context=get_context("spawn")) as pool:
-            ranks = list(pool.map(rank_path, paths))
+    recipe = _ranking_recipe(config, epochs)
+    ranks: list[PathRank] = []
+    for path in paths:
+        sp = space_config(config, fixed_path=path)
+        net = build_supernet(sp)
+        blob = flatten_params(net, include_alpha=False)
+        seed = derive_seed(config.master_seed, "ranking", *path)
+        report = client_local_search(blob, train, sp, recipe, seed=seed)
+        unflatten_params(net, report.blob)
+        acc, _ = evaluate(net, test)
+        ranks.append(PathRank(path=path, test_acc=acc, final_loss=report.epoch_losses[-1]))
     ranks.sort(key=lambda r: (-r.test_acc, r.final_loss, r.path))
 
     if cache_path is not None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .blob import ParameterBlob, check_layout
 from .data import Dataset, Partition
-from .errors import ConfigurationError, DfnasError, raise_problems
+from .errors import ConfigurationError, DfnasError, NumericalError, raise_problems
 from .local_search import LocalSearchConfig, client_local_search
 from .seeds import derive_seed, stream
 from .supernet import (
@@ -107,6 +107,16 @@ class ServerFailure(DfnasError):
         self.round_index = round_index
         self.phase = phase
         self.cause = cause
+
+
+class NumericalServerFailure(ServerFailure, NumericalError):
+    """A non-finite value in the server's own work: still a NumericalError."""
+
+
+def _server_failure(round_index: int, phase: str, cause: DfnasError) -> ServerFailure:
+    """Name the round and the phase, keeping a numerical cause catchable as one."""
+    kind = NumericalServerFailure if isinstance(cause, NumericalError) else ServerFailure
+    return kind(round_index, phase, cause)
 
 
 def select_clients(pool: int, k: int, rng: np.random.Generator) -> list[int]:
@@ -236,11 +246,11 @@ def run_round(state: FederationState, round_index: int) -> RoundRecord:
         # default threshold, -inf, prunes nothing.
         prune_edges(state.net, cfg.server_alpha_threshold)
     except DfnasError as err:
-        raise ServerFailure(round_index, "aggregation", err) from err
+        raise _server_failure(round_index, "aggregation", err) from err
     try:
         test_acc, test_loss = evaluate(state.net, state.test_set)
     except DfnasError as err:
-        raise ServerFailure(round_index, "evaluation", err) from err
+        raise _server_failure(round_index, "evaluation", err) from err
     work_units = sum(executions for _, _, executions in outputs) + len(state.test_set)
 
     return RoundRecord(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from dfnas import experiment
 from dfnas.cli import main
 from dfnas.config import ExperimentConfig, override, serialize_config
-from dfnas.errors import ConfigurationError, FormatError, NumericalError
+from dfnas.errors import ConfigurationError, FormatError
 from dfnas.experiment import (
     METRICS_HEADER,
     PathRank,
@@ -230,24 +229,6 @@ def test_rank_fixed_paths_orders_and_caches(tmp_path):
     assert cache.exists()
     again = rank_fixed_paths(config, train, test, epochs=10, cache_path=cache)
     assert again == ranks
-
-
-def test_ranks_do_not_depend_on_the_process_count(tmp_path):
-    config = small_config(tmp_path, data_kind="patches", data_image_size=4,
-                          space_candidates=("conv3", "identity"), space_channels=2)
-    train, test = build_datasets(config)
-    serial = rank_fixed_paths(config, train, test, epochs=1)
-    spread = rank_fixed_paths(override(config, federation_workers=2), train, test, epochs=1)
-    assert spread == serial and len(serial) == 4
-
-
-def test_a_ranking_worker_failure_reaches_the_caller_and_stops_the_pool(tmp_path):
-    config = small_config(tmp_path, federation_workers=2)
-    train, test = build_datasets(config)
-    huge = replace(train, features=train.features * 1e39)  # float32 cannot hold it
-    with pytest.raises(NumericalError, match="Tensor produced a non-finite value"):
-        rank_fixed_paths(config, huge, test, epochs=1)
-    assert multiprocessing.active_children() == []
 
 
 # --- compare ---

@@ -332,6 +332,7 @@ def test_server_evaluation_failure_names_the_round_and_the_server():
         run_federated_search(train, test, partition, vector_space(), fed, LocalSearchConfig())
     assert (exc.value.round_index, exc.value.phase) == (0, "evaluation")
     assert isinstance(exc.value.cause, NumericalError)
+    assert isinstance(exc.value, NumericalError)  # callers counting numerical failures catch it
     assert str(exc.value) == f"round 0: server evaluation failed: {exc.value.cause}"
 
 
@@ -343,6 +344,7 @@ def test_server_aggregation_failure_names_the_round_and_the_server(monkeypatch):
     with pytest.raises(ServerFailure) as exc:
         small_run(rounds=1)
     assert (exc.value.round_index, exc.value.phase) == (0, "aggregation")
+    assert not isinstance(exc.value, NumericalError)
     assert str(exc.value) == (
         "round 0: server aggregation failed: layout mismatch: missing record 'head.bias'"
     )
