@@ -140,7 +140,7 @@ class PathRank:
 # summation order anywhere a ranked path trains or evaluates (so that the bits
 # of a ranking change), and rankings cached by older code are recomputed
 # instead of silently reused. Changes that keep every output bit leave it as is.
-NUMERICS_VERSION = 3
+NUMERICS_VERSION = 4
 
 
 def _ranking_recipe(config: ExperimentConfig, epochs: int):

@@ -203,11 +203,11 @@ def scale(x: Tensor, s: Tensor, tape: Tape | None = None) -> Tensor:
 
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
     """Elementwise max(0, x). Subgradient at exactly 0 is 0."""
-    mask = x.data > 0
-    out = _wrap(np.where(mask, x.data, 0.0), "relu", x.requires_grad)
+    x_data = x.data
+    out = _wrap(np.maximum(x_data, 0), "relu", x.requires_grad)
     if tape is not None:
         def backward(g, needs):
-            return (g * mask if needs[0] else None,)
+            return (g * (x_data > 0) if needs[0] else None,)
 
         tape.record((x,), out, backward)
     return out
@@ -232,18 +232,23 @@ def bias_add(x: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
 def _columns(a: np.ndarray, k: int) -> np.ndarray:
     """The k x k windows of a (C, H, W, N) array zero-padded by k // 2, as
-    (C, k, k, H, W, N) columns: each window copy runs over W * N contiguous floats."""
+    (C, k, k, H, W, N) columns made in one strided copy whose inner runs are
+    W * N contiguous floats. A 1x1 kernel's one window is `a` itself."""
     c, h, w, n = a.shape
     p = k // 2
-    if p:  # a 1x1 kernel's one window is `a` itself
-        padded = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=a.dtype)
-        padded[:, p : p + h, p : p + w] = a
-        a = padded
-    cols = np.empty((c, k, k, h, w, n), dtype=a.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = a[:, i : i + h, j : j + w]
-    return cols
+    if not p:
+        return a
+    padded = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=a.dtype)
+    padded[:, p : p + h, p : p + w] = a
+    s0, s1, s2, s3 = padded.strides
+    windows = (c, k, k, h, w, n), (s0, s1, s2, s1, s2, s3)
+    return np.lib.stride_tricks.as_strided(padded, *windows).copy()
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The group-batched product of conv2d. One group goes to np.dot, which
+    # hands BLAS the length-1 contraction that np.matmul loops over itself.
+    return np.dot(a[0], b[0])[None] if len(a) == 1 else np.matmul(a, b)
 
 
 def conv2d(x: Tensor, kernel: Tensor, *, groups: int = 1, tape: Tape | None = None) -> Tensor:
@@ -257,14 +262,16 @@ def conv2d(x: Tensor, kernel: Tensor, *, groups: int = 1, tape: Tape | None = No
     Every contraction keeps the batch innermost: the input is copied once
     into a zero-padded (C, Hp, Wp, N) buffer, its columns are laid out
     (C, k, k, H, W, N), and each contraction is one `np.matmul` with the group
-    as its batch axis. The output matches a per-group einsum bit for bit
-    (tests pin this). The kernel gradient is the upstream gradient, as a
-    (G, F/G, H*W*N) matrix, times the columns transposed. The input gradient
-    is the stride-1 transposed convolution: the upstream gradient, padded by
-    k - 1 - k // 2 = k // 2, correlated with the flipped kernel whose in and
-    out channels swap within each group. Both gradients sum in another order
-    than the einsum (tests bound the difference). The tape copies the NCHW
-    dx view to C order.
+    as its batch axis (`np.dot` for one group). The output matches a
+    per-group einsum bit for bit (tests pin this). The kernel gradient is the
+    columns times the upstream gradient, as a (G, H*W*N, F/G) matrix,
+    transposed. The input gradient is the stride-1 transposed convolution:
+    the upstream gradient, padded by k - 1 - k // 2 = k // 2, correlated with
+    the flipped kernel whose in and out channels swap within each group. Both
+    gradients sum in another order than the einsum (tests bound the
+    difference). The tape copies the NCHW dx view to C order. BLAS gets every
+    operand with no negative stride and a unit stride on one of its last two
+    axes (tests pin this), so the flipped kernel is copied to C order first.
     """
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise DimensionError(
@@ -286,7 +293,7 @@ def conv2d(x: Tensor, kernel: Tensor, *, groups: int = 1, tape: Tape | None = No
     m = h * w * n  # columns per group
 
     cols = _columns(x.data.transpose(1, 2, 3, 0), k).reshape(groups, c_per_group * k * k, m)
-    out_arr = np.matmul(kernel.data.reshape(groups, f_per_group, c_per_group * k * k), cols)
+    out_arr = _matmul(kernel.data.reshape(groups, f_per_group, c_per_group * k * k), cols)
     out_arr = out_arr.reshape(f, h, w, n).transpose(3, 0, 1, 2)
     out = _wrap(np.ascontiguousarray(out_arr), "conv2d", x.requires_grad or kernel.requires_grad)
 
@@ -295,18 +302,24 @@ def conv2d(x: Tensor, kernel: Tensor, *, groups: int = 1, tape: Tape | None = No
             gm = np.ascontiguousarray(g.transpose(1, 2, 3, 0))  # (F, H, W, N)
             dk = None
             if needs[1]:
-                dk = np.matmul(gm.reshape(groups, f_per_group, m), cols.transpose(0, 2, 1))
-                dk = dk.reshape(kernel.shape)
+                dk = _matmul(cols, gm.reshape(groups, f_per_group, m).transpose(0, 2, 1))
+                dk = dk.transpose(0, 2, 1).reshape(kernel.shape)
             dx = None
             if needs[0]:
                 gcols = _columns(gm, k).reshape(groups, f_per_group * k * k, m)
                 flipped = kernel.data.reshape(groups, f_per_group, c_per_group, k, k)[..., ::-1, ::-1]
-                kt = flipped.transpose(0, 2, 1, 3, 4).reshape(groups, c_per_group, -1)
-                dx = np.matmul(kt, gcols).reshape(c, h, w, n).transpose(3, 0, 1, 2)
+                kt = np.ascontiguousarray(flipped.transpose(0, 2, 1, 3, 4)).reshape(groups, c_per_group, -1)
+                dx = _matmul(kt, gcols).reshape(c, h, w, n).transpose(3, 0, 1, 2)
             return dx, dk
 
         tape.record((x, kernel), out, backward)
     return out
+
+
+def _transpose_channels(a: np.ndarray, rows: int) -> np.ndarray:
+    # Channels as a rows x (C / rows) matrix, transposed: one C-order copy.
+    n, c = a.shape[:2]
+    return a.reshape(n, rows, c // rows, -1).transpose(0, 2, 1, 3).copy().reshape(a.shape)
 
 
 def channel_shuffle(x: Tensor, groups: int, tape: Tape | None = None) -> Tensor:
@@ -316,12 +329,10 @@ def channel_shuffle(x: Tensor, groups: int, tape: Tape | None = None) -> Tensor:
     c = x.shape[1]
     if groups < 1 or c % groups != 0:
         raise ConfigurationError(f"channel_shuffle: {c} channels not divisible by {groups}")
-    perm = np.arange(c).reshape(groups, c // groups).T.ravel()
-    inv = np.argsort(perm)
-    out = _wrap(np.ascontiguousarray(x.data[:, perm]), "channel_shuffle", x.requires_grad)
+    out = _wrap(_transpose_channels(x.data, groups), "channel_shuffle", x.requires_grad)
     if tape is not None:
         def backward(g, needs):
-            return (np.ascontiguousarray(g[:, inv]) if needs[0] else None,)
+            return (_transpose_channels(g, c // groups) if needs[0] else None,)
 
         tape.record((x,), out, backward)
     return out

@@ -177,6 +177,31 @@ def _conv2d_case(shape, hw):
     return x.data, kernel.data, g, (out.data, x.grad, kernel.grad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, hw", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+def test_conv2d_hands_blas_operands_it_can_use(shape, hw, dtype, monkeypatch):
+    # np.matmul computes a product in its own loop, several times slower,
+    # unless each operand has no negative stride and a unit stride on one of
+    # its last two axes. A flipped-kernel view has negative strides.
+    operands = []
+
+    def recording_matmul(a, b, original=tz._matmul):
+        operands.extend((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(tz, "_matmul", recording_matmul)
+    n, c, f, k, groups = shape
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(n, c, *hw)), requires_grad=True, dtype=dtype)
+    kernel = Tensor(rng.normal(size=(f, c // groups, k, k)), requires_grad=True, dtype=dtype)
+    tape = Tape()
+    tape.backward(tz.sum_all(tz.conv2d(x, kernel, groups=groups, tape=tape), tape))
+    assert len(operands) == 6  # the output, dk and dx products
+    for arr in operands:
+        assert min(arr.strides) >= 0, arr.strides
+        assert arr.itemsize in arr.strides[-2:], arr.strides
+
+
 def _conv2d_against_einsum(shape, hw):
     """conv2d's (out, dx, dk) and the einsum reference's, for a random case."""
     x, kernel, g, got = _conv2d_case(shape, hw)
@@ -234,6 +259,26 @@ def test_conv2d_keeps_shape_of_input_smaller_than_kernel(k):
 def test_relu_values():
     x = Tensor([-1.0, 0.0, 2.0])
     assert np.array_equal(tz.relu(x).data, [0.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_bit_identical_to_where_signed_zeros_included(dtype):
+    # relu is np.maximum(x, 0). The reference np.where(x > 0, x, 0.0) turns
+    # -0.0 into +0.0; np.maximum must too, in its SIMD body and in its
+    # scalar tail. If a NumPy release differs, relu adds + 0 (never loosen this).
+    rng = np.random.default_rng(31)
+    special = np.array([-0.0, 0.0, -1.5, -0.0, -2.0**-140, 0.0, -0.0], dtype=dtype)
+    shapes = [(size,) for size in [*range(1, 41), 8191, 8192, 8193]] + [(256, 8, 8, 8)]
+    for shape in shapes:
+        v = rng.normal(size=shape).astype(dtype).ravel()
+        head = special[: v.size]
+        v[: head.size] = head
+        v[-head.size :] = special[::-1][: head.size]
+        x = v.reshape(shape)
+        want = np.where(x > 0, x, 0.0)
+        got = tz.relu(Tensor(x)).data
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes(), shape
 
 
 def test_relu_all_negative_zero_gradient():
@@ -331,6 +376,22 @@ def test_channel_shuffle_round_trip_and_gradient():
         return float((v[:, perm] * w).sum())
 
     assert rel_err(x.grad, fd_gradient(f, x.data)) < 1e-6
+
+
+@pytest.mark.parametrize("groups", [1, 2, 4, 8])
+def test_channel_shuffle_matches_fancy_index_reference_bit_for_bit(groups):
+    # The reference is the permutation the shuffle stands for: the forward
+    # gathers x[:, perm], the backward g[:, argsort(perm)].
+    rng = np.random.default_rng(groups)
+    x = Tensor(rng.normal(size=(5, 8, 3, 2)), requires_grad=True, dtype=np.float32)
+    g = Tensor(rng.normal(size=x.shape), dtype=np.float32)
+    tape = Tape()
+    out = tz.channel_shuffle(x, groups, tape)
+    tape.backward(tz.sum_all(tz.mul(out, g, tape), tape))
+    perm = np.arange(8).reshape(groups, 8 // groups).T.ravel()
+    for got, want in ((out.data, x.data[:, perm]), (x.grad, g.data[:, np.argsort(perm)])):
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 def test_bias_add_gradients_2d_and_4d():
