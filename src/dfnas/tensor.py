@@ -241,8 +241,8 @@ def _columns(a: np.ndarray, k: int) -> np.ndarray:
     padded = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=a.dtype)
     padded[:, p : p + h, p : p + w] = a
     s0, s1, s2, s3 = padded.strides
-    windows = (c, k, k, h, w, n), (s0, s1, s2, s1, s2, s3)
-    return np.lib.stride_tricks.as_strided(padded, *windows).copy()
+    windows = np.lib.stride_tricks.as_strided(padded, (c, k, k, h, w, n), (s0, s1, s2, s1, s2, s3))
+    return windows.copy()
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
