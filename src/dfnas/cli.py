@@ -24,8 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="path to a key=value config file")
     run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
     run_p.add_argument("--out", default=None, help="override output_dir")
-    run_p.add_argument("--mode", choices=("dfnas", "baseline"), default=None,
-                       help="override search mode")
+    run_p.add_argument("--mode", default=None, help="override search mode")
 
     cmp_p = sub.add_parser("compare", help="tabulate two or more metrics CSVs")
     cmp_p.add_argument("csvs", nargs="+", help="metrics.csv files to align")

@@ -1,16 +1,14 @@
 """Experiment configuration: flat key=value files with dotted section prefixes.
 
-The fields of `ExperimentConfig` are the single source: each field is one key
-(a section prefix becomes `section.key`), parsed by the type of the field.
-Every key has a documented default; parsing validates the whole file and
-reports every violation, not just the first, and a float key rejects NaN.
-`serialize_config` writes a file that parses back to an equal config.
+Each `ExperimentConfig` field is one key (`section.key` for a section field),
+parsed by its type. Parsing reports every violation in the file, a float key
+rejects NaN, and `serialize_config` output parses back to an equal config.
 
-`data_specs`, `space_config`, `federation_config` and `local_config` build the
-inputs of each layer by one rule: key `section.x` is field `x` of that
-section's layer config. Only the values no key holds (sample counts, the class
-count, the input shape, the init seed, the baseline's path and the net's
-float32 dtype) are named there.
+Key `section.x` is field `x` of that section's layer config, whose class states
+the default `ExperimentConfig` reads. `data_specs`, `space_config`,
+`federation_config` and `local_config` build each layer by that rule and name
+only what no key holds: sample counts, the class count, the input shape, the
+init seed, the baseline's path and the net's dtype (float32, see `SpaceConfig`).
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .supernet import SpaceConfig
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str = "experiment"
-    master_seed: int = 0
+    master_seed: int = FederationConfig.master_seed
     mode: str = "dfnas"  # dfnas | baseline
     output_dir: str = ""  # default: runs/<scenario>
 
@@ -38,35 +36,34 @@ class ExperimentConfig:
     data_train_samples: int = 4000
     data_test_samples: int = 1000
     data_classes: int = 4
-    data_noise: float = 0.1
-    data_feature_dim: int = 8
-    data_image_channels: int = 1
-    data_image_size: int = 8
+    data_noise: float = DataSpec.noise
+    data_feature_dim: int = DataSpec.feature_dim
+    data_image_channels: int = DataSpec.image_channels
+    data_image_size: int = DataSpec.image_size
 
     partition_kind: str = "dirichlet"  # iid | dirichlet
     partition_concentration: float = 0.5
 
     space_blocks: int = 4
     space_candidates: tuple[str, ...] = ("conv3", "conv5", "identity")
-    space_channels: int = 8
-    space_hidden_width: int = 16
-    space_fixed_path: tuple[int, ...] | None = None
+    space_channels: int = SpaceConfig.channels
+    space_hidden_width: int = SpaceConfig.hidden_width
+    space_fixed_path: tuple[int, ...] | None = SpaceConfig.fixed_path
 
     federation_rounds: int = 40
     federation_client_pool: int = 4
     federation_clients_per_round: int = 4
-    federation_weighting: str = "proportional"  # uniform | proportional
-    federation_server_alpha_threshold: float = float("-inf")
+    federation_weighting: str = FederationConfig.weighting  # uniform | proportional
+    federation_server_alpha_threshold: float = FederationConfig.server_alpha_threshold
     federation_workers: int = 1  # unused (clients run in order); kept so older configs parse
     federation_checkpoints: bool = False
 
-    local_epochs: int = 2
-    local_batch_size: int = 32
-    # at lr_w 0.05 or with no clip, the default scenario diverges or stays at chance
-    local_lr_w: float = 0.02
-    local_lr_alpha: float = 0.003
-    local_momentum_w: float = 0.9
-    local_clip_norm: float | None = 5.0
+    local_epochs: int = LocalSearchConfig.epochs
+    local_batch_size: int = LocalSearchConfig.batch_size
+    local_lr_w: float = LocalSearchConfig.lr_w
+    local_lr_alpha: float = LocalSearchConfig.lr_alpha
+    local_momentum_w: float = LocalSearchConfig.momentum_w
+    local_clip_norm: float | None = LocalSearchConfig.clip_norm
 
     def resolved_output_dir(self) -> str:
         return self.output_dir or f"runs/{self.scenario}"

@@ -147,7 +147,7 @@ def _ranking_recipe(config: ExperimentConfig, epochs: int):
     """How each fixed path trains: plain SGD on the weights, alpha frozen,
     chosen for optimization stability (it assesses architectures)."""
     return LocalSearchConfig(epochs=epochs, batch_size=config.local_batch_size, lr_w=0.05,
-                             lr_alpha=0.0, momentum_w=0.0)
+                             lr_alpha=0.0, momentum_w=0.0, clip_norm=None)
 
 
 def _ranking_cache_key(config: ExperimentConfig, epochs: int) -> str:

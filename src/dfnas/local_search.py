@@ -34,12 +34,13 @@ from .tensor import SGD, Tensor, global_grad_norm
 
 @dataclass(frozen=True)
 class LocalSearchConfig:
-    epochs: int = 1
+    epochs: int = 2
     batch_size: int = 32
-    lr_w: float = 0.05
+    # at lr_w 0.05 or with no clip, the default scenario diverges or stays at chance
+    lr_w: float = 0.02
     lr_alpha: float = 0.003
     momentum_w: float = 0.9
-    clip_norm: float | None = None
+    clip_norm: float | None = 5.0
 
     def problems(self) -> list[tuple[str, str]]:
         """(field, complaint) for every rule this config breaks."""

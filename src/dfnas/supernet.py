@@ -182,6 +182,8 @@ class SpaceConfig:
     hidden_width: int = 16
     init_seed: int = 0
     fixed_path: tuple[int, ...] | None = None  # restricts each block to one candidate
+    # float64 for the gradient oracles; every experiment derives float32 in
+    # `config.space_config`, the one intended difference from the experiment defaults
     dtype: str = "float64"  # of weights and activations; blobs and alpha stay float64
 
     def problems(self) -> list[tuple[str, str]]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,14 +15,18 @@ from dfnas.config import (
     KEY_TABLE,
     ExperimentConfig,
     _layer,
+    local_config,
     override,
     parse_config,
     parse_config_text,
     serialize_config,
     validate_config,
 )
+from dfnas.data import DataSpec
 from dfnas.errors import ConfigurationError
+from dfnas.federation import FederationConfig
 from dfnas.local_search import LocalSearchConfig
+from dfnas.supernet import SpaceConfig
 
 MINIMAL = """
 scenario = demo
@@ -195,6 +199,16 @@ def test_free_text_key_is_rejected_or_round_trips(key, text):
         assert parse_config_text(serialize_config(config)) == config
 
 
+def test_bad_mode_override_exits_2_with_the_config_file_message(tmp_path, capsys):
+    message = "mode must be dfnas or baseline, got 'foo'"
+    with pytest.raises(ConfigurationError, match=message):
+        parse_config_text(MINIMAL + "mode = foo\n")
+    path = tmp_path / "run.conf"
+    path.write_text(MINIMAL, encoding="utf-8")
+    assert main(["run", str(path), "--mode", "foo"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_out_override_that_would_not_round_trip_exits_2(tmp_path, capsys):
     path = tmp_path / "run.conf"
     path.write_text(MINIMAL + "federation.rounds = 1\ndata.train_samples = 64\n", encoding="utf-8")
@@ -288,6 +302,24 @@ def test_layer_field_with_no_key_and_no_derived_value_fails():
     with pytest.raises(AttributeError, match="local_unkeyed"):
         _layer(Extended, ExperimentConfig(), "local")
     assert _layer(Extended, ExperimentConfig(), "local", unkeyed=1)
+
+
+@pytest.mark.parametrize("section, layer", [
+    ("data", DataSpec), ("space", SpaceConfig), ("federation", FederationConfig),
+    ("local", LocalSearchConfig),
+])
+def test_each_keyed_layer_default_is_the_experiment_default(section, layer):
+    keyed = {
+        f.name: f.default for f in fields(layer)
+        if f.default is not MISSING and f"{section}.{f.name}" in KEY_TABLE
+    }
+    assert keyed
+    assert keyed == {x: getattr(ExperimentConfig(), f"{section}_{x}") for x in keyed}
+
+
+def test_default_experiment_trains_with_the_default_recipe():
+    assert local_config(ExperimentConfig()) == LocalSearchConfig()
+    assert ExperimentConfig().master_seed == FederationConfig.master_seed
 
 
 def test_readme_config_block_lists_the_defaults():

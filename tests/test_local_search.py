@@ -60,7 +60,7 @@ def test_degenerate_supernet_equals_plain_sgd_oracle():
     blob = flatten_params(net)
     shard = blob_shard(n=48)
     config = LocalSearchConfig(
-        epochs=4, batch_size=16, lr_w=0.05, lr_alpha=0.003, momentum_w=0.9
+        epochs=4, batch_size=16, lr_w=0.05, lr_alpha=0.003, momentum_w=0.9, clip_norm=None
     )
     report = client_local_search(blob, shard, space, config, seed=11)
 
@@ -220,7 +220,7 @@ def test_numerical_blowup_aborts_with_error():
     huge = Dataset(
         features=np.full((8, 4), 1e200), labels=np.zeros(8, dtype=np.int64), num_classes=2
     )
-    config = LocalSearchConfig(epochs=1, batch_size=4, lr_w=0.05)
+    config = LocalSearchConfig(epochs=1, batch_size=4, lr_w=0.05, clip_norm=None)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError):
             client_local_search(blob, huge, space, config, seed=0)
@@ -243,7 +243,8 @@ def test_clip_norm_limits_update_magnitude():
     blob = flatten_params(net)
     shard = blob_shard(n=32, noise=0.0)
     free = client_local_search(
-        blob, shard, space, LocalSearchConfig(epochs=1, batch_size=8, lr_w=0.5), seed=3
+        blob, shard, space, LocalSearchConfig(epochs=1, batch_size=8, lr_w=0.5, clip_norm=None),
+        seed=3,
     )
     clipped = client_local_search(
         blob, shard, space,
